@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # PR-10 bench trajectory: runs bench_throughput (serialized/concurrent
-# sync rows plus the staged-vs-parked async and in-flight-per-core
-# rows in one binary),
+# sync rows plus the staged async and in-flight-per-core rows in one
+# binary),
 # bench_im_generation, bench_trace_overhead, bench_resilience
 # (retry/breaker goodput against a chaotic resource), bench_overload
 # (goodput/shed-rate/p99 as offered load sweeps 1x-10x of pipeline
@@ -17,7 +17,9 @@
 # owner dies mid-feed must close on the survivor with exactly one
 # re-executed step each and post-failover goodput >= 0.9x the pre-kill
 # plateau), then composes their JSON outputs into a consolidated
-# BENCH_10.json at the repo root.
+# BENCH_10.json at the repo root — or, with --smoke, into the
+# git-ignored BENCH_smoke.json, so a smoke run never overwrites the
+# committed trajectory file.
 #
 # Usage: bench/run_benches.sh [build-dir] [--smoke]
 #   build-dir  defaults to <repo>/build
@@ -61,7 +63,11 @@ else
 fi
 trace_json="$("$BENCH_DIR/bench_trace_overhead")"
 
-OUT="$ROOT/BENCH_10.json"
+if [ "$SMOKE" = 1 ]; then
+  OUT="$ROOT/BENCH_smoke.json"
+else
+  OUT="$ROOT/BENCH_10.json"
+fi
 {
   printf '{\n'
   printf '  "pr": 10,\n'

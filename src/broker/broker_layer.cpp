@@ -84,18 +84,15 @@ void BrokerLayer::set_metrics(obs::MetricsRegistry* metrics) noexcept {
 
 Result<model::Value> BrokerLayer::call(const Call& call,
                                        obs::RequestContext& context) {
-  obs::ContextScope ambient(context);
-  obs::ScopedSpan span(context, "broker.call", call.name);
-  calls_handled_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) metrics_->counter("broker.calls").add();
-  if (Status deadline = context.check_deadline("broker"); !deadline.ok()) {
-    return deadline;
-  }
-  Result<const Action*> action = select_action(call.name);
-  if (!action.ok()) return action.status();
-  log_debug("broker") << name() << " call " << call.name << " -> action "
-                      << (*action)->name;
-  return execute_steps((*action)->steps, call.args, context);
+  return settle_inline<Result<model::Value>>([&](CallCallback done) {
+    dispatch(call, context, /*blocking=*/true, std::move(done));
+  });
+}
+
+void BrokerLayer::call_async(const Call& broker_call,
+                             obs::RequestContext& context,
+                             CallCallback done) {
+  dispatch(broker_call, context, /*blocking=*/false, std::move(done));
 }
 
 Status BrokerLayer::handle_event(const std::string& topic,
@@ -118,26 +115,25 @@ Status BrokerLayer::handle_event(const std::string& topic,
   return result.ok() ? Status::Ok() : result.status();
 }
 
-// ---- staged execution (PR 6) -----------------------------------------
-
 struct BrokerLayer::StepRun {
   const std::vector<ActionStep>* steps = nullptr;
   Args call_args;
   obs::RequestContext* context = nullptr;
   CallCallback done;
+  bool blocking = false;
   model::Value result;
   std::optional<Result<model::Value>> pending;  ///< settled kInvoke outcome
   std::size_t index = 0;
 };
 
-void BrokerLayer::call_async(const Call& broker_call,
-                             obs::RequestContext& context,
-                             CallCallback done) {
+void BrokerLayer::dispatch(const Call& broker_call,
+                           obs::RequestContext& context, bool blocking,
+                           CallCallback done) {
   obs::ContextScope ambient(context);
   calls_handled_.fetch_add(1, std::memory_order_relaxed);
   if (metrics_ != nullptr) metrics_->counter("broker.calls").add();
-  // The span is closed by `finish`, not a ScopedSpan: the call may park
-  // and complete on another thread long after this frame unwinds.
+  // The span is closed by `finish`, not a ScopedSpan: a staged call may
+  // park and complete on another thread long after this frame unwinds.
   const std::uint64_t span = context.open_span("broker.call",
                                                broker_call.name);
   obs::RequestContext* context_ptr = &context;
@@ -157,19 +153,36 @@ void BrokerLayer::call_async(const Call& broker_call,
   }
   log_debug("broker") << name() << " call " << broker_call.name
                       << " -> action " << (*action)->name;
-  execute_steps_async((*action)->steps, broker_call.args, context,
-                      std::move(finish));
+  start_steps((*action)->steps, broker_call.args, context, blocking,
+              std::move(finish));
+}
+
+Result<model::Value> BrokerLayer::execute_steps(
+    const std::vector<ActionStep>& steps, const Args& call_args,
+    obs::RequestContext& context) {
+  return settle_inline<Result<model::Value>>([&](CallCallback done) {
+    start_steps(steps, call_args, context, /*blocking=*/true,
+                std::move(done));
+  });
 }
 
 void BrokerLayer::execute_steps_async(const std::vector<ActionStep>& steps,
                                       Args call_args,
                                       obs::RequestContext& context,
                                       CallCallback done) {
+  start_steps(steps, std::move(call_args), context, /*blocking=*/false,
+              std::move(done));
+}
+
+void BrokerLayer::start_steps(const std::vector<ActionStep>& steps,
+                              Args call_args, obs::RequestContext& context,
+                              bool blocking, CallCallback done) {
   auto run = std::make_shared<StepRun>();
   run->steps = &steps;
   run->call_args = std::move(call_args);
   run->context = &context;
   run->done = std::move(done);
+  run->blocking = blocking;
   drive_steps(std::move(run));
 }
 
@@ -206,24 +219,29 @@ void BrokerLayer::drive_steps(std::shared_ptr<StepRun> run) {
       }
       case StepOp::kInvoke: {
         Args resolved = resolve_args(step.args, run->call_args, *context_);
-        // Trampoline: 0 = driver still in this frame, 1 = driver parked,
-        // 2 = completion fired inline. Whoever arrives second owns the
-        // continuation, so inline completions stay in this loop (no
-        // recursion) and true parks resume on the settling thread.
-        auto turn = std::make_shared<std::atomic<int>>(0);
-        StepRun& state = *run;
-        resources_.invoke_async(
-            step.a, step.b, resolved, *run->context,
-            [this, run, turn](Result<model::Value> invoked) {
-              run->pending.emplace(std::move(invoked));
-              if (turn->exchange(2, std::memory_order_acq_rel) == 1) {
-                if (consume_pending(*run)) drive_steps(run);
-              }
-            });
-        if (turn->exchange(1, std::memory_order_acq_rel) == 0) {
-          return;  // parked: the completion resumes the run
+        if (run->blocking) {
+          run->pending.emplace(
+              resources_.invoke(step.a, step.b, resolved, *run->context));
+        } else {
+          // Trampoline: 0 = run loop still in this frame, 1 = run loop
+          // parked, 2 = completion fired inline. Whoever arrives second
+          // owns the continuation, so inline completions stay in this
+          // loop (no recursion) and true parks resume on the settling
+          // thread.
+          auto turn = std::make_shared<std::atomic<int>>(0);
+          resources_.invoke_async(
+              step.a, step.b, resolved, *run->context,
+              [this, run, turn](Result<model::Value> invoked) {
+                run->pending.emplace(std::move(invoked));
+                if (turn->exchange(2, std::memory_order_acq_rel) == 1) {
+                  if (consume_pending(*run)) drive_steps(run);
+                }
+              });
+          if (turn->exchange(1, std::memory_order_acq_rel) == 0) {
+            return;  // parked: the completion resumes the run
+          }
         }
-        if (!consume_pending(state)) return;
+        if (!consume_pending(*run)) return;
         break;
       }
       case StepOp::kSetState: {
@@ -272,66 +290,6 @@ void BrokerLayer::drive_steps(std::shared_ptr<StepRun> run) {
     }
   }
   run->done(std::move(run->result));
-}
-
-Result<model::Value> BrokerLayer::execute_steps(
-    const std::vector<ActionStep>& steps, const Args& call_args,
-    obs::RequestContext& context) {
-  obs::ContextScope ambient(context);
-  model::Value result;
-  for (const ActionStep& step : steps) {
-    switch (step.op) {
-      case StepOp::kGuard: {
-        Result<bool> holds = step.guard.evaluate_bool(*context_);
-        if (!holds.ok()) return holds.status();
-        if (!*holds) {
-          return FailedPrecondition("action guard '" + step.guard.text() +
-                                    "' failed");
-        }
-        break;
-      }
-      case StepOp::kInvoke: {
-        Args resolved = resolve_args(step.args, call_args, *context_);
-        Result<model::Value> invoked =
-            resources_.invoke(step.a, step.b, resolved, context);
-        if (!invoked.ok()) return invoked.status();
-        result = std::move(invoked.value());
-        break;
-      }
-      case StepOp::kSetState: {
-        Args resolved = resolve_args(step.args, call_args, *context_);
-        Result<model::Value> value = require_arg(resolved, "value",
-                                                 "set-state");
-        if (!value.ok()) return value.status();
-        state_.set(step.a, std::move(value.value()));
-        break;
-      }
-      case StepOp::kSetContext: {
-        Args resolved = resolve_args(step.args, call_args, *context_);
-        Result<model::Value> value = require_arg(resolved, "value",
-                                                 "set-context");
-        if (!value.ok()) return value.status();
-        context_->set(step.a, std::move(value.value()));
-        break;
-      }
-      case StepOp::kEmit: {
-        Args resolved = resolve_args(step.args, call_args, *context_);
-        Result<model::Value> payload = require_arg(resolved, "payload",
-                                                   "emit");
-        if (!payload.ok()) return payload.status();
-        bus_->publish(step.a, name(), std::move(payload.value()));
-        break;
-      }
-      case StepOp::kResult: {
-        Args resolved = resolve_args(step.args, call_args, *context_);
-        Result<model::Value> value = require_arg(resolved, "value", "result");
-        if (!value.ok()) return value.status();
-        result = std::move(value.value());
-        break;
-      }
-    }
-  }
-  return result;
 }
 
 }  // namespace mdsm::broker

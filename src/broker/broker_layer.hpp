@@ -68,16 +68,18 @@ class BrokerLayer final : public runtime::Component, public BrokerApi {
 
   /// Select (via the signal's handler + guards + priority) and execute an
   /// action for the call. Returns the action's result value (none if the
-  /// action set none). Opens one "broker.call" span per crossing.
+  /// action set none). Opens one "broker.call" span per crossing. Runs
+  /// the same step interpreter as call_async(), with each kInvoke going
+  /// through ResourceManager::invoke(), so it settles before returning.
   Result<model::Value> call(const Call& call,
                             obs::RequestContext& context) override;
 
-  /// Staged-core variant of call(): the action's steps run as a resumable
-  /// state machine, so a kInvoke that parks in ResourceManager (retry
-  /// backoff, attempt overrun) suspends this call instead of a thread;
-  /// the surviving steps resume on whatever thread settles the resource
-  /// invocation. `context` must outlive the call; `done` fires exactly
-  /// once (inline when every step completes synchronously).
+  /// Staged variant of call(): a kInvoke goes through
+  /// ResourceManager::invoke_async(), and one that parks there (retry
+  /// backoff, attempt overrun, a parking adapter) suspends this call
+  /// instead of a thread; the surviving steps resume on whatever thread
+  /// settles the resource invocation. `context` must outlive the call;
+  /// `done` fires exactly once (inline when nothing parks).
   void call_async(const Call& broker_call, obs::RequestContext& context,
                   CallCallback done) override;
 
@@ -104,7 +106,7 @@ class BrokerLayer final : public runtime::Component, public BrokerApi {
     return execute_steps(steps, call_args, obs::RequestContext::noop());
   }
 
-  /// Resumable twin of execute_steps(). `steps` must outlive the run
+  /// Staged variant of execute_steps(). `steps` must outlive the run
   /// (action step lists are never removed once registered); `call_args`
   /// is copied into the run state. Synchronous steps (guards, state,
   /// context, emit, result) execute inline; only kInvoke can park.
@@ -125,9 +127,18 @@ class BrokerLayer final : public runtime::Component, public BrokerApi {
   [[nodiscard]] Result<const Action*> select_action(
       const std::string& signal) const;
 
-  /// Shared state of one execute_steps_async() run (step cursor, copied
-  /// args, accumulated result, the pending invoke outcome in flight).
+  /// One call crossing: "broker.call" span, counters, deadline gate,
+  /// action selection, then the action's steps. A blocking run invokes
+  /// resources through the sync invoke() and settles inline.
+  void dispatch(const Call& broker_call, obs::RequestContext& context,
+                bool blocking, CallCallback done);
+  /// Shared state of one step run (step cursor, copied args, accumulated
+  /// result, the pending invoke outcome in flight).
   struct StepRun;
+  /// Start a step run; a blocking one invokes through the sync invoke().
+  void start_steps(const std::vector<ActionStep>& steps, Args call_args,
+                   obs::RequestContext& context, bool blocking,
+                   CallCallback done);
   /// Drive steps from the run's cursor until done or a kInvoke parks.
   void drive_steps(std::shared_ptr<StepRun> run);
   /// Consume run->pending after a kInvoke settles; false means the run

@@ -120,7 +120,11 @@ class ResourceManager {
   /// layers above it. Retries consume `context`'s deadline budget: the
   /// loop never issues an attempt (or sleeps a backoff) past the
   /// request deadline. The context-free overload runs under the shared
-  /// noop context (no deadline, no spans).
+  /// noop context (no deadline, no spans). This is the blocking mode of
+  /// the one invocation state machine: attempts call the adapter's
+  /// execute(), backoff sleeps (the sleep hook, else sleep_for), and a
+  /// failed attempt that took >= policy.attempt_timeout is reclassified
+  /// as a (retryable) Timeout.
   Result<model::Value> invoke(const std::string& resource,
                               const std::string& command, const Args& args,
                               obs::RequestContext& context);
@@ -135,23 +139,24 @@ class ResourceManager {
   /// attempt-timeout timers go to `loop`; continuations hop back onto
   /// pipeline workers through `resume` (the platform submits them to its
   /// broker stage). Both must outlive steady-state traffic; configure at
-  /// assembly time. Unwired, invoke_async() degrades to the synchronous
-  /// invoke() on the calling thread.
+  /// assembly time. Unwired, invoke_async() runs in blocking mode on the
+  /// calling thread, exactly like invoke().
   void set_async_engine(runtime::EventLoop* loop,
                         std::function<void(std::function<void()>)> resume);
 
-  /// Asynchronous invoke with the same policy semantics as invoke() —
-  /// bounded retries, breaker, fallback, per-attempt deadline gates —
-  /// but no thread ever sleeps: backoff parks the invocation on an
-  /// event-loop timer, and an attempt that overruns
-  /// policy.attempt_timeout is *disowned* by a timer (counted in
-  /// "broker.attempt_overruns", recorded as a breaker failure, retried
-  /// or degraded immediately) instead of cooperatively reclassified
-  /// after the adapter finally returns; the disowned attempt's late
-  /// completion is discarded ("broker.late_completions"). `context` must
-  /// outlive the invocation — the staged request state owns it. `done`
-  /// is invoked exactly once, on whatever thread settles the final
-  /// attempt (a pipeline worker, the event loop, or the caller inline).
+  /// Parking mode of invoke(): the same policy semantics — bounded
+  /// retries, breaker, fallback, per-attempt deadline gates — but no
+  /// thread ever sleeps: attempts call the adapter's execute_async(),
+  /// backoff parks the invocation on an event-loop timer, and an attempt
+  /// that overruns policy.attempt_timeout is *disowned* by a timer
+  /// (counted in "broker.attempt_overruns", recorded as a breaker
+  /// failure, retried or degraded immediately) instead of cooperatively
+  /// reclassified after the adapter finally returns; the disowned
+  /// attempt's late completion is discarded ("broker.late_completions").
+  /// `context` must outlive the invocation — the staged request state
+  /// owns it. `done` is invoked exactly once, on whatever thread settles
+  /// the final attempt (a pipeline worker, the event loop, or the caller
+  /// inline).
   void invoke_async(const std::string& resource, const std::string& command,
                     const Args& args, obs::RequestContext& context,
                     InvokeCallback done);
@@ -182,46 +187,48 @@ class ResourceManager {
     std::atomic<std::uint64_t> chains{0};
   };
 
-  /// One physical attempt: trace record, metrics, exception containment.
+  /// Trace record, "broker.commands" and debug log of one attempt.
+  void record_attempt(const std::string& resource, const std::string& command,
+                      const Args& args);
+  /// Called from a catch block: count and log the exception that escaped
+  /// an adapter and return the ExecutionError it degrades to.
+  Status adapter_threw(const std::string& resource,
+                       const std::string& command);
+  /// One blocking physical attempt (adapter execute()).
   Result<model::Value> invoke_attempt(ResourceAdapter& adapter,
                                       const std::string& resource,
                                       const std::string& command,
                                       const Args& args);
-  /// Shared state of one logical invoke_async() (all attempts + fallback).
-  struct AsyncInvocation;
-  /// Issue attempt `call->attempt + 1`, gated by breaker and deadline.
-  void start_attempt_async(std::shared_ptr<AsyncInvocation> call);
-  /// Settle one attempt (exactly once: adapter completion or the overrun
-  /// timer, whichever wins the per-attempt flag): breaker accounting,
-  /// span close, then resolve / retry / degrade.
-  void attempt_settled(const std::shared_ptr<AsyncInvocation>& call,
-                       CircuitBreaker::Admission admission,
-                       std::uint64_t span, Result<model::Value> outcome);
-  /// Async twin of invoke_attempt: trace record, metrics, containment.
+  /// One parking physical attempt (adapter execute_async()).
   void execute_attempt_async(ResourceAdapter& adapter,
                              const std::string& resource,
                              const std::string& command, const Args& args,
                              ResourceAdapter::Completion done);
-  /// Async twin of invoke_fallback (fire-once on the fallback adapter).
-  void invoke_fallback_async(const std::shared_ptr<AsyncInvocation>& call,
-                             Status primary_status);
-  /// Hand a continuation to a pipeline worker (resume_ hook, or the
-  /// loop, or inline as a last resort).
-  void resume_on_worker(std::function<void()> fn);
-  Result<model::Value> invoke_with_policy(
-      std::shared_ptr<ResourceAdapter> adapter,
-      const std::shared_ptr<PolicyState>& state, const std::string& resource,
-      const std::string& command, const Args& args,
-      obs::RequestContext& context);
+  /// Shared state of one logical invocation (all attempts + fallback).
+  struct Invocation;
+  /// Pin adapter and policy, then run the fire-once path or the policy
+  /// state machine in the given mode.
+  void start(const std::string& resource, const std::string& command,
+             const Args& args, obs::RequestContext& context, bool blocking,
+             InvokeCallback done);
+  /// Issue attempts, each gated by breaker and deadline, until the
+  /// invocation resolves or a parking attempt or backoff suspends it.
+  void run_attempts(std::shared_ptr<Invocation> call);
+  /// Settle one attempt (exactly once: adapter completion or the overrun
+  /// timer, whichever wins the per-attempt flag): span close, breaker
+  /// accounting, then resolve / degrade / back off. True when a blocking
+  /// invocation has slept its backoff and should issue the next attempt.
+  bool attempt_settled(const std::shared_ptr<Invocation>& call,
+                       CircuitBreaker::Admission admission,
+                       std::uint64_t span, Result<model::Value> outcome);
   /// Degraded path: fire-once on the fallback adapter; a success is
   /// tagged ["degraded", value] when the policy asks for it, a failure
   /// surfaces `primary_status` (the more informative fault).
-  Result<model::Value> invoke_fallback(const InvocationPolicy& policy,
-                                       const std::string& resource,
-                                       const std::string& command,
-                                       const Args& args,
-                                       obs::RequestContext& context,
-                                       Status primary_status);
+  void invoke_fallback(const std::shared_ptr<Invocation>& call,
+                       Status primary_status);
+  /// Hand a parking invocation's continuation to a pipeline worker (the
+  /// resume_ hook, else the loop itself).
+  void resume_on_worker(std::function<void()> fn);
   void publish_transition(const std::string& resource,
                           CircuitBreaker::Transition transition);
   void count(obs::Counter* counter) {

@@ -149,6 +149,22 @@ class Result {
   std::variant<T, Status> rep_;
 };
 
+/// Run a continuation-passing run loop whose leaf calls all complete
+/// inline and return the outcome it settled with. Every layer's sync
+/// entry point wraps its one resumable run loop this way: the loop is
+/// started in blocking mode, so its leaf goes through the layer below's
+/// sync call and the completion has fired by the time `start` returns.
+/// (A loop that returned unsettled would be a leaf bug; it reports
+/// kInternal.)
+template <typename T, typename Start>
+T settle_inline(Start&& start) {
+  std::optional<T> settled;
+  std::forward<Start>(start)(
+      [&settled](T outcome) { settled.emplace(std::move(outcome)); });
+  if (!settled.has_value()) return Internal("blocking run did not settle");
+  return std::move(*settled);
+}
+
 /// Propagate an error Status from an expression that yields Status.
 #define MDSM_RETURN_IF_ERROR(expr)                    \
   do {                                                \

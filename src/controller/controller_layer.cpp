@@ -115,28 +115,12 @@ Status ControllerLayer::submit_command(Command command) {
   return Status::Ok();
 }
 
-Status ControllerLayer::execute_script(const ControlScript& script,
-                                       obs::RequestContext& context) {
-  obs::ContextScope ambient(context);
-  obs::ScopedSpan span(context, "controller.script",
-                       std::to_string(script.commands.size()) + " commands");
-  MDSM_RETURN_IF_ERROR(context.check_deadline("controller"));
-  for (const Command& command : script.commands) {
-    stats_.signals_received.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_ != nullptr) metrics_->counter("controller.signals").add();
-    obs::ScopedSpan signal_span(context, "controller.signal", command.name);
-    Result<model::Value> outcome = execute_command(command, context);
-    if (!outcome.ok()) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_ != nullptr) metrics_->counter("controller.errors").add();
-      bus_->publish("controller.error", name(),
-                    model::Value(command.to_text() + ": " +
-                                 outcome.status().to_string()));
-    }
-  }
-  // Drain event signals the executions raised (kEmit → subscribed topic).
-  process_pending(context);
-  return Status::Ok();
+void ControllerLayer::report_error(const std::string& signal,
+                                   const Status& status) {
+  stats_.errors.fetch_add(1, std::memory_order_relaxed);
+  if (metrics_ != nullptr) metrics_->counter("controller.errors").add();
+  bus_->publish("controller.error", name(),
+                model::Value(signal + ": " + status.to_string()));
 }
 
 std::size_t ControllerLayer::process_pending(obs::RequestContext& context) {
@@ -157,39 +141,26 @@ std::size_t ControllerLayer::process_pending(obs::RequestContext& context) {
     }
     ++processed;
     obs::ScopedSpan span(context, "controller.signal", signal.name);
+    Command command{signal.name, std::move(signal.args)};
     if (signal.kind == SignalKind::kCall) {
-      Command command{signal.name, std::move(signal.args)};
       Result<model::Value> outcome = execute_command(command, context);
-      if (!outcome.ok()) {
-        stats_.errors.fetch_add(1, std::memory_order_relaxed);
-        if (metrics_ != nullptr) metrics_->counter("controller.errors").add();
-        bus_->publish("controller.error", name(),
-                      model::Value(command.to_text() + ": " +
-                                   outcome.status().to_string()));
-      }
-    } else {
-      stats_.events_handled.fetch_add(1, std::memory_order_relaxed);
-      // Events are handled by Case-1 actions bound to the topic; an
-      // unbound event is simply observed (layers subscribe selectively).
-      bool bound;
-      {
-        std::shared_lock lock(config_mutex_);
-        bound = bindings_.contains(signal.name);
-      }
-      if (bound) {
-        Command command{signal.name, std::move(signal.args)};
-        Result<model::Value> outcome = execute_case1(command, context);
-        if (!outcome.ok()) {
-          stats_.errors.fetch_add(1, std::memory_order_relaxed);
-          if (metrics_ != nullptr) {
-            metrics_->counter("controller.errors").add();
-          }
-          bus_->publish("controller.error", name(),
-                        model::Value(signal.name + ": " +
-                                     outcome.status().to_string()));
-        }
-      }
+      if (!outcome.ok()) report_error(command.to_text(), outcome.status());
+      continue;
     }
+    stats_.events_handled.fetch_add(1, std::memory_order_relaxed);
+    // Events are handled by Case-1 actions bound to the topic; an unbound
+    // event is simply observed (layers subscribe selectively).
+    bool bound;
+    {
+      std::shared_lock lock(config_mutex_);
+      bound = bindings_.contains(signal.name);
+    }
+    if (!bound) continue;
+    Result<model::Value> outcome =
+        settle_inline<Result<model::Value>>([&](CommandCallback done) {
+          execute_case1(command, context, /*blocking=*/true, std::move(done));
+        });
+    if (!outcome.ok()) report_error(signal.name, outcome.status());
   }
   return processed;
 }
@@ -233,88 +204,22 @@ SelectionStrategy ControllerLayer::selection_strategy() const {
   return SelectionStrategy::kMinCost;
 }
 
-Result<model::Value> ControllerLayer::execute_case1(
-    const Command& command, obs::RequestContext& context) {
-  // Select under the shared lock, execute outside it (action nodes are
-  // never removed, so `best` stays valid after release).
-  const ControllerAction* best = nullptr;
-  {
-    std::shared_lock lock(config_mutex_);
-    auto it = bindings_.find(command.name);
-    if (it == bindings_.end()) {
-      return NotFound("no action bound to command '" + command.name + "'");
-    }
-    for (const std::string& action_name : it->second) {
-      auto action_it = actions_.find(action_name);
-      if (action_it == actions_.end()) continue;
-      const ControllerAction& action = action_it->second;
-      Result<bool> applicable = action.guard.evaluate_bool(*context_);
-      if (!applicable.ok() || !*applicable) continue;
-      if (best == nullptr || action.priority > best->priority) best = &action;
-    }
-  }
-  if (best == nullptr) {
-    return FailedPrecondition("no applicable action for command '" +
-                              command.name + "' in current context");
-  }
-  stats_.case1_executions.fetch_add(1, std::memory_order_relaxed);
-  stats_.commands_executed.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) {
-    metrics_->counter("controller.case1").add();
-    metrics_->counter("controller.commands").add();
-  }
-  return engine_.execute_flat(best->body, command.args, context);
-}
-
-Result<model::Value> ControllerLayer::execute_case2(
-    const Command& command, obs::RequestContext& context) {
-  std::string dsc;
-  {
-    std::shared_lock lock(config_mutex_);
-    auto it = command_dsc_.find(command.name);
-    dsc = it != command_dsc_.end() ? it->second : command.name;
-  }
-  if (!dscs_.contains(dsc)) {
-    return NotFound("command '" + command.name + "' resolves to unknown DSC '" +
-                    dsc + "'");
-  }
-  Result<IntentModelPtr> intent_model =
-      generator_.generate_cached(dsc, selection_strategy());
-  if (!intent_model.ok()) return intent_model.status();
-  stats_.case2_executions.fetch_add(1, std::memory_order_relaxed);
-  stats_.commands_executed.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) {
-    metrics_->counter("controller.case2").add();
-    metrics_->counter("controller.commands").add();
-  }
-  return engine_.execute(**intent_model, command.args, context);
-}
-
 Result<model::Value> ControllerLayer::execute_command(
     const Command& command, obs::RequestContext& context) {
-  obs::ContextScope ambient(context);
-  MDSM_RETURN_IF_ERROR(context.check_deadline("controller"));
-  Result<Case> which = classify(command);
-  if (!which.ok()) return which.status();
-  log_debug("controller") << name() << " " << command.to_text() << " -> "
-                          << (*which == Case::kCase1 ? "case1" : "case2");
-  return *which == Case::kCase1 ? execute_case1(command, context)
-                                : execute_case2(command, context);
+  return settle_inline<Result<model::Value>>([&](CommandCallback done) {
+    dispatch(command, context, /*blocking=*/true, std::move(done));
+  });
 }
-
-// ---- staged execution (PR 6) -----------------------------------------
-
-struct ControllerLayer::ScriptRun {
-  ControlScript script;
-  obs::RequestContext* context = nullptr;
-  ScriptCallback done;
-  std::uint64_t script_span = 0;  ///< "controller.script", closed at end
-  std::size_t index = 0;
-};
 
 void ControllerLayer::execute_command_async(const Command& command,
                                             obs::RequestContext& context,
                                             CommandCallback done) {
+  dispatch(command, context, /*blocking=*/false, std::move(done));
+}
+
+void ControllerLayer::dispatch(const Command& command,
+                               obs::RequestContext& context, bool blocking,
+                               CommandCallback done) {
   obs::ContextScope ambient(context);
   if (Status deadline = context.check_deadline("controller");
       !deadline.ok()) {
@@ -329,15 +234,17 @@ void ControllerLayer::execute_command_async(const Command& command,
   log_debug("controller") << name() << " " << command.to_text() << " -> "
                           << (*which == Case::kCase1 ? "case1" : "case2");
   if (*which == Case::kCase1) {
-    execute_case1_async(command, context, std::move(done));
+    execute_case1(command, context, blocking, std::move(done));
   } else {
-    execute_case2_async(command, context, std::move(done));
+    execute_case2(command, context, blocking, std::move(done));
   }
 }
 
-void ControllerLayer::execute_case1_async(const Command& command,
-                                          obs::RequestContext& context,
-                                          CommandCallback done) {
+void ControllerLayer::execute_case1(const Command& command,
+                                    obs::RequestContext& context,
+                                    bool blocking, CommandCallback done) {
+  // Select under the shared lock, execute outside it (action nodes are
+  // never removed, so `best` — and its body — outlive the run).
   const ControllerAction* best = nullptr;
   {
     std::shared_lock lock(config_mutex_);
@@ -367,14 +274,17 @@ void ControllerLayer::execute_case1_async(const Command& command,
     metrics_->counter("controller.case1").add();
     metrics_->counter("controller.commands").add();
   }
-  // Action bodies are never removed, so `best->body` outlives the run.
-  engine_.execute_flat_async(best->body, command.args, context,
-                             std::move(done));
+  if (blocking) {
+    done(engine_.execute_flat(best->body, command.args, context));
+  } else {
+    engine_.execute_flat_async(best->body, command.args, context,
+                               std::move(done));
+  }
 }
 
-void ControllerLayer::execute_case2_async(const Command& command,
-                                          obs::RequestContext& context,
-                                          CommandCallback done) {
+void ControllerLayer::execute_case2(const Command& command,
+                                    obs::RequestContext& context,
+                                    bool blocking, CommandCallback done) {
   std::string dsc;
   {
     std::shared_lock lock(config_mutex_);
@@ -398,10 +308,15 @@ void ControllerLayer::execute_case2_async(const Command& command,
     metrics_->counter("controller.case2").add();
     metrics_->counter("controller.commands").add();
   }
-  // The completion capture keeps the IM alive for the whole run (the
-  // cache may evict it while the request is parked mid-execution).
+  // The IM stays pinned for the whole run (the cache may evict it while
+  // a staged request is parked mid-execution): by this frame when
+  // blocking, by the completion's capture when staged.
   IntentModelPtr pinned = std::move(intent_model.value());
   const IntentModel& model_ref = *pinned;
+  if (blocking) {
+    done(engine_.execute(model_ref, command.args, context));
+    return;
+  }
   engine_.execute_async(
       model_ref, command.args, context,
       [pinned = std::move(pinned),
@@ -410,17 +325,44 @@ void ControllerLayer::execute_case2_async(const Command& command,
       });
 }
 
+struct ControllerLayer::ScriptRun {
+  ControlScript owned;  ///< a staged run's copy of its script
+  const ControlScript* script = nullptr;
+  obs::RequestContext* context = nullptr;
+  ScriptCallback done;
+  bool blocking = false;
+  std::uint64_t script_span = 0;  ///< "controller.script", closed at end
+  std::size_t index = 0;
+};
+
+Status ControllerLayer::execute_script(const ControlScript& script,
+                                       obs::RequestContext& context) {
+  return settle_inline<Status>([&](ScriptCallback done) {
+    auto run = std::make_shared<ScriptRun>();
+    run->script = &script;
+    run->blocking = true;
+    start_script(std::move(run), context, std::move(done));
+  });
+}
+
 void ControllerLayer::execute_script_async(ControlScript script,
                                            obs::RequestContext& context,
                                            ScriptCallback done) {
-  obs::ContextScope ambient(context);
   auto run = std::make_shared<ScriptRun>();
-  run->script = std::move(script);
+  run->owned = std::move(script);
+  run->script = &run->owned;
+  start_script(std::move(run), context, std::move(done));
+}
+
+void ControllerLayer::start_script(std::shared_ptr<ScriptRun> run,
+                                   obs::RequestContext& context,
+                                   ScriptCallback done) {
+  obs::ContextScope ambient(context);
   run->context = &context;
   run->done = std::move(done);
   run->script_span = context.open_span(
       "controller.script",
-      std::to_string(run->script.commands.size()) + " commands");
+      std::to_string(run->script->commands.size()) + " commands");
   if (Status deadline = context.check_deadline("controller");
       !deadline.ok()) {
     context.close_span(run->script_span);
@@ -432,34 +374,27 @@ void ControllerLayer::execute_script_async(ControlScript script,
 
 void ControllerLayer::drive_script(std::shared_ptr<ScriptRun> run) {
   obs::ContextScope ambient(*run->context);
-  while (run->index < run->script.commands.size()) {
-    const std::size_t cmd_index = run->index++;
-    const Command& command = run->script.commands[cmd_index];
+  while (run->index < run->script->commands.size()) {
+    const Command& command = run->script->commands[run->index++];
     stats_.signals_received.fetch_add(1, std::memory_order_relaxed);
     if (metrics_ != nullptr) metrics_->counter("controller.signals").add();
     const std::uint64_t span =
         run->context->open_span("controller.signal", command.name);
-    // Trampoline: inline completions continue this loop; a parked
-    // command's completion re-enters drive_script on the settling thread.
+    // Trampoline: inline completions (every blocking one) continue this
+    // loop; a parked command's completion re-enters drive_script on the
+    // settling thread.
     auto turn = std::make_shared<std::atomic<int>>(0);
-    execute_command_async(
-        command, *run->context,
-        [this, run, turn, span, cmd_index](Result<model::Value> outcome) {
-          if (!outcome.ok()) {
-            stats_.errors.fetch_add(1, std::memory_order_relaxed);
-            if (metrics_ != nullptr) {
-              metrics_->counter("controller.errors").add();
-            }
-            bus_->publish("controller.error", name(),
-                          model::Value(
-                              run->script.commands[cmd_index].to_text() +
-                              ": " + outcome.status().to_string()));
-          }
-          run->context->close_span(span);
-          if (turn->exchange(2, std::memory_order_acq_rel) == 1) {
-            drive_script(run);
-          }
-        });
+    dispatch(command, *run->context, run->blocking,
+             [this, run, turn, span,
+              &command](Result<model::Value> outcome) {
+               if (!outcome.ok()) {
+                 report_error(command.to_text(), outcome.status());
+               }
+               run->context->close_span(span);
+               if (turn->exchange(2, std::memory_order_acq_rel) == 1) {
+                 drive_script(run);
+               }
+             });
     if (turn->exchange(1, std::memory_order_acq_rel) == 0) {
       return;  // parked: the command's completion resumes the script
     }

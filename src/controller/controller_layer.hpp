@@ -130,7 +130,9 @@ class ControllerLayer final : public runtime::Component {
   /// its own "controller.signal" span with the same error containment as
   /// process_pending() (errors are counted and published, not returned),
   /// then any event signals raised by the executions are drained.
-  /// Safe to call concurrently from many request threads.
+  /// Safe to call concurrently from many request threads. Runs the same
+  /// script loop as execute_script_async(), with every broker call
+  /// going through the sync path, so it settles before returning.
   Status execute_script(const ControlScript& script,
                         obs::RequestContext& context);
   Status execute_script(const ControlScript& script) {
@@ -156,17 +158,17 @@ class ControllerLayer final : public runtime::Component {
   using CommandCallback = ExecutionEngine::ExecuteCallback;
   using ScriptCallback = std::function<void(Status)>;
 
-  /// Staged-core twin of execute_script() (PR 6): commands run in order
-  /// as a resumable chain — a command whose broker call parks suspends
-  /// the script, and the remaining commands resume on the settling
-  /// thread. Error containment is identical to the sync path (counted
-  /// and published, never returned); `done` fires exactly once after the
+  /// Staged entry point of execute_script(): commands run in order as a
+  /// resumable chain — a command whose broker call parks suspends the
+  /// script, and the remaining commands resume on the settling thread.
+  /// Error containment is identical to the sync path (counted and
+  /// published, never returned); `done` fires exactly once after the
   /// final command and the pending-event drain. The script is copied
   /// into the run state; `context` must outlive the run.
   void execute_script_async(ControlScript script,
                             obs::RequestContext& context, ScriptCallback done);
 
-  /// Staged-core twin of execute_command(): classification is
+  /// Staged entry point of execute_command(): classification is
   /// synchronous, execution may park. `command` is only read before the
   /// first suspension point (the engine copies its args); `context` must
   /// outlive the run.
@@ -184,22 +186,27 @@ class ControllerLayer final : public runtime::Component {
 
   Result<Case> classify(const Command& command) const;
   [[nodiscard]] SelectionStrategy selection_strategy() const;
-  Result<model::Value> execute_case1(const Command& command,
-                                     obs::RequestContext& context);
-  Result<model::Value> execute_case2(const Command& command,
-                                     obs::RequestContext& context);
+  /// Classify and execute one command. A blocking run executes through
+  /// the engine's sync entry points and settles inline; a staged run uses
+  /// the *_async ones and may park in the broker.
+  void dispatch(const Command& command, obs::RequestContext& context,
+                bool blocking, CommandCallback done);
+  void execute_case1(const Command& command, obs::RequestContext& context,
+                     bool blocking, CommandCallback done);
+  void execute_case2(const Command& command, obs::RequestContext& context,
+                     bool blocking, CommandCallback done);
+  /// Count and publish a contained signal failure ("controller.error").
+  void report_error(const std::string& signal, const Status& status);
 
-  /// Shared state of one execute_script_async() run.
+  /// Shared state of one script run.
   struct ScriptRun;
+  /// Open the "controller.script" span, gate on the deadline, then drive
+  /// `run` (whose script and mode the entry point has set).
+  void start_script(std::shared_ptr<ScriptRun> run,
+                    obs::RequestContext& context, ScriptCallback done);
   /// Drive script commands from the run's cursor until done or a command
   /// parks.
   void drive_script(std::shared_ptr<ScriptRun> run);
-  void execute_case1_async(const Command& command,
-                           obs::RequestContext& context,
-                           CommandCallback done);
-  void execute_case2_async(const Command& command,
-                           obs::RequestContext& context,
-                           CommandCallback done);
 
   broker::BrokerApi* broker_;
   runtime::EventBus* bus_;

@@ -58,7 +58,9 @@ class ExecutionEngine {
   /// Case 2: execute a generated intent model. Dependencies are resolved
   /// through the IM's matched children, never looked up dynamically.
   /// Every procedure frame (root and kCallDep pushes) runs under its own
-  /// "controller.eu" span of `context`.
+  /// "controller.eu" span of `context`. Runs the same stack machine as
+  /// execute_async(), with each kBrokerCall going through the broker's
+  /// sync call(), so the run settles before this returns.
   Result<model::Value> execute(const IntentModel& intent_model,
                                const broker::Args& command_args,
                                obs::RequestContext& context);
@@ -81,13 +83,13 @@ class ExecutionEngine {
   /// when no broker call parks).
   using ExecuteCallback = std::function<void(Result<model::Value>)>;
 
-  /// Staged-core twins of execute()/execute_flat() (PR 6): the stack
-  /// machine's state lives on the heap, and a kBrokerCall that parks in
-  /// the Broker layer suspends the run — the surviving instructions
-  /// resume on whatever thread completes the call. `intent_model` /
-  /// `body` and `context` must outlive the run (callers keep the IM
-  /// alive by capturing its shared_ptr in `done`; action bodies are
-  /// never removed); `command_args` is copied into the run state.
+  /// Staged entry points of execute()/execute_flat(): a kBrokerCall goes
+  /// through the broker's call_async(), and one that parks there suspends
+  /// the run — the surviving instructions resume on whatever thread
+  /// completes the call. `intent_model` / `body` and `context` must
+  /// outlive the run (callers keep the IM alive by capturing its
+  /// shared_ptr in `done`; action bodies are never removed);
+  /// `command_args` is copied into the run state.
   void execute_async(const IntentModel& intent_model,
                      broker::Args command_args, obs::RequestContext& context,
                      ExecuteCallback done);
@@ -133,30 +135,33 @@ class ExecutionEngine {
                              ///< whose span is scoped to the whole run)
   };
 
-  Result<model::Value> run(Frame initial, const broker::Args& command_args,
-                           obs::RequestContext& context);
-
   /// Advance past exhausted frames (closing their spans, popping);
   /// returns the next instruction of the top frame, or null when the
-  /// stack has drained. Shared by the sync and async drivers.
+  /// stack has drained.
   const Instruction* fetch(std::vector<Frame>& stack,
                            obs::RequestContext& context);
-  /// Execute one non-broker instruction (kBrokerCall is the only op the
-  /// sync and async drivers dispatch differently). `node` is the current
-  /// frame's IM node (null in flat runs); kCallDep pushes onto `stack`.
+  /// Execute one non-broker instruction (kBrokerCall is the only op that
+  /// can suspend a run, so drive() dispatches it itself). `node` is the
+  /// current frame's IM node (null in flat runs); kCallDep pushes onto
+  /// `stack`.
   Status exec_instruction(const Instruction& instruction,
                           const IntentModelNode* node,
                           std::vector<Frame>& stack, model::Value& result,
                           const broker::Args& command_args,
                           obs::RequestContext& context);
 
-  /// Heap-allocated stack-machine state of one *_async run.
+  /// Heap-allocated stack-machine state of one run.
   struct RunState;
-  /// Start an async run from `initial` (opens the root "controller.eu"
-  /// span, then drives).
-  void start_async(Frame initial, std::string root_name,
-                   broker::Args command_args, obs::RequestContext& context,
-                   ExecuteCallback done);
+  /// Start a run of `intent_model` (kInvalidArgument when it has no root).
+  void start(const IntentModel& intent_model, broker::Args command_args,
+             obs::RequestContext& context, bool blocking,
+             ExecuteCallback done);
+  /// Start a run from `initial` (opens the root "controller.eu" span,
+  /// then drives). A blocking run sends kBrokerCall through the broker's
+  /// sync call() and never parks; a staged run uses call_async().
+  void start(Frame initial, broker::Args command_args,
+             obs::RequestContext& context, bool blocking,
+             ExecuteCallback done);
   /// Drive the stack machine until the run completes or a broker call
   /// parks it.
   void drive(std::shared_ptr<RunState> run);

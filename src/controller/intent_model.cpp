@@ -184,6 +184,10 @@ Status IntentModelGenerator::validate(const IntentModel& intent_model) const {
 
 Result<IntentModelPtr> IntentModelGenerator::generate(
     std::string_view root_dsc, SelectionStrategy strategy) {
+  // Stamp the registry before the first read: a remove() racing this
+  // generation makes validation fail with "unknown DSC", and the stamp
+  // lets that surface as the removal it is (below).
+  const std::uint64_t dsc_version = dscs_->version();
   if (!dscs_->contains(root_dsc)) {
     return NotFound("unknown DSC '" + std::string(root_dsc) + "'");
   }
@@ -223,6 +227,10 @@ Result<IntentModelPtr> IntentModelGenerator::generate(
     }
   }
   if (valid.empty()) {
+    if (dscs_->version() != dsc_version) {
+      return NotFound("DSC registry changed while generating for '" +
+                      std::string(root_dsc) + "'");
+    }
     return FailedPrecondition("no configuration for DSC '" +
                               std::string(root_dsc) +
                               "' survived validation");

@@ -1,6 +1,7 @@
 // Fault-tolerance tests for the Broker layer: retry backoff math, the
 // circuit-breaker state machine, the ResourceManager's policy-driven
-// invoke loop (deadline budgets, attempt timeouts, fallbacks), the
+// invocation state machine through both its blocking and its parking
+// entry point (deadline budgets, attempt timeouts, fallbacks), the
 // autonomic reaction to breaker events, and chaos soaks proving that
 // transient resource faults below the retry budget never surface to the
 // submitting user while the cross-layer ledgers still reconcile exactly.
@@ -18,6 +19,7 @@
 #include "broker/invocation_policy.hpp"
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/event_loop.hpp"
 #include "soak_fixtures.hpp"
 
 namespace mdsm {
@@ -29,6 +31,7 @@ using broker::ChangePlan;
 using broker::CircuitBreaker;
 using broker::InvocationPolicy;
 using broker::ResourceAdapter;
+using broker::ResourceManager;
 using broker::RetryBackoff;
 using model::Value;
 
@@ -166,25 +169,29 @@ class ScriptedAdapter final : public ResourceAdapter {
   }
 };
 
-struct ResilienceFixture : ::testing::Test {
-  runtime::EventBus bus;
-  policy::ContextStore store;
-  BrokerLayer layer{"resilient", bus, store};
-  obs::MetricsRegistry metrics;
-  SimClock clock;
-  ScriptedAdapter* primary = nullptr;
+/// The two entry points of the ResourceManager's one invocation state
+/// machine: blocking invoke(), and parking invoke_async() on an event
+/// loop (attempt timeouts differ by design, so those cases stay
+/// blocking-only).
+enum class Entry { kInvoke, kInvokeAsync };
 
-  void SetUp() override {
-    set_log_level(LogLevel::kOff);
+/// A broker layer over a scripted "svc" adapter on a simulated clock.
+/// Blocking backoff sleeps advance the clock through the sleep hook; a
+/// parking invoke is pumped on a manual event loop whose backoff timers
+/// fire as the clock is advanced to them, one microsecond at a time.
+struct Rig {
+  explicit Rig(Entry entry) : entry(entry) {
     auto adapter = std::make_unique<ScriptedAdapter>("svc");
     primary = adapter.get();
-    ASSERT_TRUE(layer.resources().add_adapter(std::move(adapter)).ok());
+    EXPECT_TRUE(layer.resources().add_adapter(std::move(adapter)).ok());
     layer.set_metrics(&metrics);
-    // Backoff sleeps advance the simulated clock instead of wall-blocking.
-    layer.resources().set_sleep_hook(
-        [this](Duration d) { clock.advance(d); });
+    layer.resources().set_sleep_hook([this](Duration d) { clock.advance(d); });
+    if (entry == Entry::kInvokeAsync) {
+      layer.resources().set_async_engine(&loop, nullptr);
+    }
   }
-  void TearDown() override { set_log_level(LogLevel::kWarn); }
+  Rig(const Rig&) = delete;
+  Rig& operator=(const Rig&) = delete;
 
   obs::RequestContext make_context(
       std::optional<Duration> deadline = std::nullopt) {
@@ -193,273 +200,369 @@ struct ResilienceFixture : ::testing::Test {
   [[nodiscard]] std::uint64_t counter(std::string_view name) const {
     return metrics.snapshot().counter_value(name);
   }
+  /// svc.start through this rig's entry point.
+  Result<Value> invoke(obs::RequestContext& context) {
+    if (entry == Entry::kInvoke) {
+      return layer.resources().invoke("svc", "start", {}, context);
+    }
+    std::optional<Result<Value>> settled;
+    layer.resources().invoke_async(
+        "svc", "start", {}, context,
+        [&settled](Result<Value> outcome) { settled.emplace(outcome); });
+    while (!settled.has_value()) {
+      if (loop.pending_timers() == 0 && loop.pending_posts() == 0) {
+        return Internal("invoke_async parked with nothing left to run");
+      }
+      if (loop.poll() == 0) clock.advance(Duration(1));
+    }
+    return std::move(*settled);
+  }
+
+  Entry entry;
+  runtime::EventBus bus;
+  policy::ContextStore store;
+  obs::MetricsRegistry metrics;
+  SimClock clock;
+  runtime::EventLoop loop{{.clock = &clock, .threaded = false}};
+  BrokerLayer layer{"resilient", bus, store};
+  ScriptedAdapter* primary = nullptr;
+};
+
+struct ResilienceFixture : ::testing::Test {
+  void SetUp() override { set_log_level(LogLevel::kOff); }
+  void TearDown() override { set_log_level(LogLevel::kWarn); }
+
+  /// Run `body` once per entry point, each on a fresh rig.
+  static void on_both_entries(const std::function<void(Rig&)>& body) {
+    for (Entry entry : {Entry::kInvoke, Entry::kInvokeAsync}) {
+      SCOPED_TRACE(entry == Entry::kInvoke ? "invoke" : "invoke_async");
+      Rig rig(entry);
+      body(rig);
+    }
+  }
 };
 
 TEST_F(ResilienceFixture, RetriesTransientFaultsUntilSuccess) {
-  InvocationPolicy policy;
-  policy.max_attempts = 3;
-  policy.initial_backoff = Duration(100);
-  ASSERT_TRUE(layer.resources().set_policy("svc", policy).ok());
-  primary->fail_times(2, Unavailable("flaky"));
+  on_both_entries([](Rig& rig) {
+    InvocationPolicy policy;
+    policy.max_attempts = 3;
+    policy.initial_backoff = Duration(100);
+    ASSERT_TRUE(rig.layer.resources().set_policy("svc", policy).ok());
+    rig.primary->fail_times(2, Unavailable("flaky"));
 
-  obs::RequestContext context = make_context();
-  auto result = layer.resources().invoke("svc", "start", {}, context);
-  ASSERT_TRUE(result.ok()) << result.status().to_string();
-  EXPECT_EQ(result->as_string(), "ok:start");
-  EXPECT_EQ(primary->executed, 3);
-  EXPECT_EQ(layer.trace().size(), 3u);  // every physical attempt traced
-  EXPECT_EQ(counter("broker.commands"), 3u);
-  EXPECT_EQ(counter("broker.retries"), 2u);
-  EXPECT_EQ(counter("broker.retry_exhausted"), 0u);
-  // One "broker.attempt" span per physical attempt, under the policy path.
-  EXPECT_EQ(context.trace().count("broker.attempt"), 3u);
-  // Two backoff sleeps actually elapsed (on the simulated clock).
-  EXPECT_GE(clock.now().time_since_epoch(), Duration(200));
+    obs::RequestContext context = rig.make_context();
+    auto result = rig.invoke(context);
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+    EXPECT_EQ(result->as_string(), "ok:start");
+    EXPECT_EQ(rig.primary->executed, 3);
+    EXPECT_EQ(rig.layer.trace().size(), 3u);  // every physical attempt traced
+    EXPECT_EQ(rig.counter("broker.commands"), 3u);
+    EXPECT_EQ(rig.counter("broker.retries"), 2u);
+    EXPECT_EQ(rig.counter("broker.retry_exhausted"), 0u);
+    // One "broker.attempt" span per physical attempt, under the policy path.
+    EXPECT_EQ(context.trace().count("broker.attempt"), 3u);
+    // Two backoffs actually elapsed (on the simulated clock).
+    EXPECT_GE(rig.clock.now().time_since_epoch(), Duration(200));
+  });
 }
 
 TEST_F(ResilienceFixture, PolicyFreeResourceKeepsFireOnceSemantics) {
-  primary->fail_times(1, Unavailable("flaky"));
-  obs::RequestContext context = make_context();
-  auto result = layer.resources().invoke("svc", "start", {}, context);
-  EXPECT_EQ(result.status().code(), ErrorCode::kUnavailable);
-  EXPECT_EQ(primary->executed, 1);
-  EXPECT_EQ(counter("broker.retries"), 0u);
-  EXPECT_EQ(context.trace().count("broker.attempt"), 0u);  // fast path
+  on_both_entries([](Rig& rig) {
+    rig.primary->fail_times(1, Unavailable("flaky"));
+    obs::RequestContext context = rig.make_context();
+    auto result = rig.invoke(context);
+    EXPECT_EQ(result.status().code(), ErrorCode::kUnavailable);
+    EXPECT_EQ(rig.primary->executed, 1);
+    EXPECT_EQ(rig.counter("broker.retries"), 0u);
+    EXPECT_EQ(context.trace().count("broker.attempt"), 0u);  // fast path
+  });
 }
 
 TEST_F(ResilienceFixture, NonRetryableFaultFailsFast) {
-  InvocationPolicy policy;
-  policy.max_attempts = 3;
-  ASSERT_TRUE(layer.resources().set_policy("svc", policy).ok());
-  primary->script.push_back(
-      [] { return Result<Value>(InvalidArgument("bad command")); });
+  on_both_entries([](Rig& rig) {
+    InvocationPolicy policy;
+    policy.max_attempts = 3;
+    ASSERT_TRUE(rig.layer.resources().set_policy("svc", policy).ok());
+    rig.primary->script.push_back(
+        [] { return Result<Value>(InvalidArgument("bad command")); });
 
-  obs::RequestContext context = make_context();
-  auto result = layer.resources().invoke("svc", "start", {}, context);
-  EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument);
-  EXPECT_EQ(primary->executed, 1);  // authoring bugs are not retried
-  EXPECT_EQ(counter("broker.retries"), 0u);
-  EXPECT_EQ(counter("broker.retry_exhausted"), 0u);
+    obs::RequestContext context = rig.make_context();
+    auto result = rig.invoke(context);
+    EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(rig.primary->executed, 1);  // authoring bugs are not retried
+    EXPECT_EQ(rig.counter("broker.retries"), 0u);
+    EXPECT_EQ(rig.counter("broker.retry_exhausted"), 0u);
+  });
 }
 
 TEST_F(ResilienceFixture, RetryLoopNeverSleepsPastTheDeadline) {
-  InvocationPolicy policy;
-  policy.max_attempts = 10;
-  policy.initial_backoff = Duration(200);
-  ASSERT_TRUE(layer.resources().set_policy("svc", policy).ok());
-  primary->fail_times(10, Unavailable("down"));
+  on_both_entries([](Rig& rig) {
+    InvocationPolicy policy;
+    policy.max_attempts = 10;
+    policy.initial_backoff = Duration(200);
+    ASSERT_TRUE(rig.layer.resources().set_policy("svc", policy).ok());
+    rig.primary->fail_times(10, Unavailable("down"));
 
-  const Duration budget(500);
-  obs::RequestContext context = make_context(budget);
-  const TimePoint start = clock.now();
-  auto result = layer.resources().invoke("svc", "start", {}, context);
-  EXPECT_EQ(result.status().code(), ErrorCode::kTimeout);
-  EXPECT_EQ(counter("broker.retry_exhausted"), 1u);
-  // The loop gave up with budget to spare rather than oversleeping: the
-  // simulated clock (advanced only by backoff sleeps) stayed inside it.
-  EXPECT_LT(clock.now() - start, budget);
-  EXPECT_LT(primary->executed, 10);
+    const Duration budget(500);
+    obs::RequestContext context = rig.make_context(budget);
+    const TimePoint start = rig.clock.now();
+    auto result = rig.invoke(context);
+    EXPECT_EQ(result.status().code(), ErrorCode::kTimeout);
+    EXPECT_EQ(rig.counter("broker.retry_exhausted"), 1u);
+    // The loop gave up with budget to spare rather than oversleeping: the
+    // simulated clock (advanced only by backoffs) stayed inside it.
+    EXPECT_LT(rig.clock.now() - start, budget);
+    EXPECT_LT(rig.primary->executed, 10);
+  });
 }
 
 TEST_F(ResilienceFixture, ExhaustedBudgetAtEntryIssuesNoCommand) {
-  InvocationPolicy policy;
-  policy.max_attempts = 3;
-  ASSERT_TRUE(layer.resources().set_policy("svc", policy).ok());
-  obs::RequestContext context = make_context(Duration(100));
-  clock.advance(Duration(100));  // spend the whole budget first
-  auto result = layer.resources().invoke("svc", "start", {}, context);
-  EXPECT_EQ(result.status().code(), ErrorCode::kTimeout);
-  EXPECT_EQ(primary->executed, 0);
-  EXPECT_EQ(layer.trace().size(), 0u);
+  on_both_entries([](Rig& rig) {
+    InvocationPolicy policy;
+    policy.max_attempts = 3;
+    ASSERT_TRUE(rig.layer.resources().set_policy("svc", policy).ok());
+    obs::RequestContext context = rig.make_context(Duration(100));
+    rig.clock.advance(Duration(100));  // spend the whole budget first
+    auto result = rig.invoke(context);
+    EXPECT_EQ(result.status().code(), ErrorCode::kTimeout);
+    EXPECT_EQ(rig.primary->executed, 0);
+    EXPECT_EQ(rig.layer.trace().size(), 0u);
+  });
 }
 
 TEST_F(ResilienceFixture, AttemptTimeoutReclassifiesSlowFailuresAsRetryable) {
+  Rig rig(Entry::kInvoke);
   InvocationPolicy policy;
   policy.max_attempts = 2;
   policy.attempt_timeout = Duration(100);
   policy.initial_backoff = Duration(0);
-  ASSERT_TRUE(layer.resources().set_policy("svc", policy).ok());
+  ASSERT_TRUE(rig.layer.resources().set_policy("svc", policy).ok());
   // A stalled attempt that then fails with a non-retryable code: the
   // stall past the attempt budget makes it a Timeout fault, so it IS
   // retried — and the retry succeeds.
-  primary->script.push_back([this]() -> Result<Value> {
-    clock.advance(Duration(150));
+  rig.primary->script.push_back([&rig]() -> Result<Value> {
+    rig.clock.advance(Duration(150));
     return InvalidArgument("garbled response after stall");
   });
 
-  obs::RequestContext context = make_context();
-  auto result = layer.resources().invoke("svc", "start", {}, context);
+  obs::RequestContext context = rig.make_context();
+  auto result = rig.invoke(context);
   ASSERT_TRUE(result.ok()) << result.status().to_string();
-  EXPECT_EQ(primary->executed, 2);
-  EXPECT_EQ(counter("broker.retries"), 1u);
+  EXPECT_EQ(rig.primary->executed, 2);
+  EXPECT_EQ(rig.counter("broker.retries"), 1u);
 }
 
 TEST_F(ResilienceFixture, FallbackTagsDegradedResultAndPublishesEvent) {
-  auto backup = std::make_unique<ScriptedAdapter>("backup");
-  ASSERT_TRUE(layer.resources().add_adapter(std::move(backup)).ok());
-  InvocationPolicy policy;
-  policy.max_attempts = 2;
-  policy.initial_backoff = Duration(0);
-  policy.fallback_resource = "backup";
-  ASSERT_TRUE(layer.resources().set_policy("svc", policy).ok());
-  primary->fail_times(2, Unavailable("down"));
+  on_both_entries([](Rig& rig) {
+    auto backup = std::make_unique<ScriptedAdapter>("backup");
+    ASSERT_TRUE(rig.layer.resources().add_adapter(std::move(backup)).ok());
+    InvocationPolicy policy;
+    policy.max_attempts = 2;
+    policy.initial_backoff = Duration(0);
+    policy.fallback_resource = "backup";
+    ASSERT_TRUE(rig.layer.resources().set_policy("svc", policy).ok());
+    rig.primary->fail_times(2, Unavailable("down"));
 
-  std::vector<std::string> degraded_events;
-  bus.subscribe("resource.degraded", [&](const runtime::Event& e) {
-    degraded_events.push_back(e.payload.as_list()[0].as_string());
+    std::vector<std::string> degraded_events;
+    rig.bus.subscribe("resource.degraded", [&](const runtime::Event& e) {
+      degraded_events.push_back(e.payload.as_list()[0].as_string());
+    });
+
+    obs::RequestContext context = rig.make_context();
+    auto result = rig.invoke(context);
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+    ASSERT_TRUE(result->is_list());
+    ASSERT_EQ(result->as_list().size(), 2u);
+    EXPECT_EQ(result->as_list()[0].as_string(), "degraded");
+    EXPECT_EQ(result->as_list()[1].as_string(), "ok:start");
+    EXPECT_EQ(rig.counter("broker.fallbacks"), 1u);
+    EXPECT_EQ(rig.counter("broker.retry_exhausted"), 1u);
+    ASSERT_EQ(degraded_events.size(), 1u);
+    EXPECT_EQ(degraded_events[0], "svc");
+    EXPECT_EQ(context.trace().count("broker.fallback"), 1u);
   });
-
-  obs::RequestContext context = make_context();
-  auto result = layer.resources().invoke("svc", "start", {}, context);
-  ASSERT_TRUE(result.ok()) << result.status().to_string();
-  ASSERT_TRUE(result->is_list());
-  ASSERT_EQ(result->as_list().size(), 2u);
-  EXPECT_EQ(result->as_list()[0].as_string(), "degraded");
-  EXPECT_EQ(result->as_list()[1].as_string(), "ok:start");
-  EXPECT_EQ(counter("broker.fallbacks"), 1u);
-  EXPECT_EQ(counter("broker.retry_exhausted"), 1u);
-  ASSERT_EQ(degraded_events.size(), 1u);
-  EXPECT_EQ(degraded_events[0], "svc");
-  EXPECT_EQ(context.trace().count("broker.fallback"), 1u);
 }
 
 TEST_F(ResilienceFixture, UntaggedFallbackReturnsPlainValue) {
-  auto backup = std::make_unique<ScriptedAdapter>("backup");
-  ASSERT_TRUE(layer.resources().add_adapter(std::move(backup)).ok());
-  InvocationPolicy policy;
-  policy.max_attempts = 1;
-  policy.fallback_resource = "backup";
-  policy.tag_degraded = false;
-  ASSERT_TRUE(layer.resources().set_policy("svc", policy).ok());
-  primary->fail_times(1, Unavailable("down"));
+  on_both_entries([](Rig& rig) {
+    auto backup = std::make_unique<ScriptedAdapter>("backup");
+    ASSERT_TRUE(rig.layer.resources().add_adapter(std::move(backup)).ok());
+    InvocationPolicy policy;
+    policy.max_attempts = 1;
+    policy.fallback_resource = "backup";
+    policy.tag_degraded = false;
+    ASSERT_TRUE(rig.layer.resources().set_policy("svc", policy).ok());
+    rig.primary->fail_times(1, Unavailable("down"));
 
-  obs::RequestContext context = make_context();
-  auto result = layer.resources().invoke("svc", "start", {}, context);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->as_string(), "ok:start");
+    obs::RequestContext context = rig.make_context();
+    auto result = rig.invoke(context);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->as_string(), "ok:start");
+  });
 }
 
 TEST_F(ResilienceFixture, FallbackFailureSurfacesThePrimaryFault) {
-  auto backup = std::make_unique<ScriptedAdapter>("backup");
-  backup->fail_times(1, ExecutionError("backup also broken"));
-  ASSERT_TRUE(layer.resources().add_adapter(std::move(backup)).ok());
-  InvocationPolicy policy;
-  policy.max_attempts = 1;
-  policy.fallback_resource = "backup";
-  ASSERT_TRUE(layer.resources().set_policy("svc", policy).ok());
-  primary->fail_times(1, Unavailable("primary down"));
+  on_both_entries([](Rig& rig) {
+    auto backup = std::make_unique<ScriptedAdapter>("backup");
+    backup->fail_times(1, ExecutionError("backup also broken"));
+    ASSERT_TRUE(rig.layer.resources().add_adapter(std::move(backup)).ok());
+    InvocationPolicy policy;
+    policy.max_attempts = 1;
+    policy.fallback_resource = "backup";
+    ASSERT_TRUE(rig.layer.resources().set_policy("svc", policy).ok());
+    rig.primary->fail_times(1, Unavailable("primary down"));
 
-  obs::RequestContext context = make_context();
-  auto result = layer.resources().invoke("svc", "start", {}, context);
-  EXPECT_EQ(result.status().code(), ErrorCode::kUnavailable);
-  EXPECT_NE(result.status().to_string().find("primary down"),
-            std::string::npos);
-  EXPECT_EQ(counter("broker.fallbacks"), 1u);
+    obs::RequestContext context = rig.make_context();
+    auto result = rig.invoke(context);
+    EXPECT_EQ(result.status().code(), ErrorCode::kUnavailable);
+    EXPECT_NE(result.status().to_string().find("primary down"),
+              std::string::npos);
+    EXPECT_EQ(rig.counter("broker.fallbacks"), 1u);
+  });
 }
 
-TEST_F(ResilienceFixture, BreakerFastFailsWhileOpenThenProbesClosed) {
+/// Breaker policy shared by the breaker cases: trips after four
+/// failures at >= 50%, probes after a 1 ms cooldown.
+InvocationPolicy tripping_policy() {
   InvocationPolicy policy;
   policy.max_attempts = 1;
   policy.breaker.window = 4;
   policy.breaker.min_samples = 4;
   policy.breaker.failure_threshold = 0.5;
   policy.breaker.cooldown = Duration(1'000);
-  ASSERT_TRUE(layer.resources().set_policy("svc", policy).ok());
-  primary->fail_times(4, Unavailable("down"));
+  return policy;
+}
 
-  std::vector<std::string> breaker_events;
-  bus.subscribe("resource.breaker.*", [&](const runtime::Event& e) {
-    breaker_events.push_back(e.topic);
+TEST_F(ResilienceFixture, BreakerFastFailsWhileOpenThenProbesClosed) {
+  on_both_entries([](Rig& rig) {
+    ASSERT_TRUE(
+        rig.layer.resources().set_policy("svc", tripping_policy()).ok());
+    rig.primary->fail_times(4, Unavailable("down"));
+
+    std::vector<std::string> breaker_events;
+    rig.bus.subscribe("resource.breaker.*", [&](const runtime::Event& e) {
+      breaker_events.push_back(e.topic);
+    });
+
+    obs::RequestContext context = rig.make_context();
+    for (int i = 0; i < 4; ++i) EXPECT_FALSE(rig.invoke(context).ok());
+    EXPECT_EQ(rig.layer.resources().breaker_state("svc"),
+              CircuitBreaker::State::kOpen);
+    ASSERT_EQ(breaker_events.size(), 1u);
+    EXPECT_EQ(breaker_events[0], "resource.breaker.open");
+
+    // While open: fast-fail, the resource is never touched.
+    auto rejected = rig.invoke(context);
+    EXPECT_EQ(rejected.status().code(), ErrorCode::kUnavailable);
+    EXPECT_NE(rejected.status().to_string().find("circuit open"),
+              std::string::npos);
+    EXPECT_EQ(rig.primary->executed, 4);
+    EXPECT_EQ(rig.counter("broker.breaker_open"), 1u);
+
+    // After the cooldown the next invoke runs as the probe and succeeds
+    // (the script is exhausted), closing the breaker.
+    rig.clock.advance(Duration(1'000));
+    auto probe = rig.invoke(context);
+    ASSERT_TRUE(probe.ok());
+    EXPECT_EQ(rig.layer.resources().breaker_state("svc"),
+              CircuitBreaker::State::kClosed);
+    ASSERT_EQ(breaker_events.size(), 2u);
+    EXPECT_EQ(breaker_events[1], "resource.breaker.close");
+    EXPECT_EQ(rig.counter("broker.breaker_transitions"), 2u);
   });
+}
 
-  obs::RequestContext context = make_context();
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_FALSE(layer.resources().invoke("svc", "start", {}, context).ok());
-  }
-  EXPECT_EQ(layer.resources().breaker_state("svc"),
-            CircuitBreaker::State::kOpen);
-  ASSERT_EQ(breaker_events.size(), 1u);
-  EXPECT_EQ(breaker_events[0], "resource.breaker.open");
+// A probe the breaker admitted but the deadline gate then refused never
+// ran: its slot is retired as a failure (the breaker re-opens) instead of
+// leaking and wedging the breaker half-open, so a later probe can still
+// close it.
+TEST_F(ResilienceFixture, RefusedProbeIsRetiredAndTheBreakerRecovers) {
+  on_both_entries([](Rig& rig) {
+    ASSERT_TRUE(
+        rig.layer.resources().set_policy("svc", tripping_policy()).ok());
+    rig.primary->fail_times(4, Unavailable("down"));
+    obs::RequestContext context = rig.make_context();
+    for (int i = 0; i < 4; ++i) EXPECT_FALSE(rig.invoke(context).ok());
+    ASSERT_EQ(rig.layer.resources().breaker_state("svc"),
+              CircuitBreaker::State::kOpen);
 
-  // While open: fast-fail, the resource is never touched.
-  auto rejected = layer.resources().invoke("svc", "start", {}, context);
-  EXPECT_EQ(rejected.status().code(), ErrorCode::kUnavailable);
-  EXPECT_NE(rejected.status().to_string().find("circuit open"),
-            std::string::npos);
-  EXPECT_EQ(primary->executed, 4);
-  EXPECT_EQ(counter("broker.breaker_open"), 1u);
+    rig.clock.advance(Duration(1'000));
+    obs::RequestContext spent = rig.make_context(Duration(0));
+    EXPECT_EQ(rig.invoke(spent).status().code(), ErrorCode::kTimeout);
+    EXPECT_EQ(rig.primary->executed, 4);  // the refused probe never ran
+    EXPECT_EQ(rig.layer.resources().breaker_state("svc"),
+              CircuitBreaker::State::kOpen);
 
-  // After the cooldown the next invoke runs as the probe and succeeds
-  // (the script is exhausted), closing the breaker.
-  clock.advance(Duration(1'000));
-  auto probe = layer.resources().invoke("svc", "start", {}, context);
-  ASSERT_TRUE(probe.ok());
-  EXPECT_EQ(layer.resources().breaker_state("svc"),
-            CircuitBreaker::State::kClosed);
-  ASSERT_EQ(breaker_events.size(), 2u);
-  EXPECT_EQ(breaker_events[1], "resource.breaker.close");
-  EXPECT_EQ(counter("broker.breaker_transitions"), 2u);
+    rig.clock.advance(Duration(1'000));
+    ASSERT_TRUE(rig.invoke(context).ok());
+    EXPECT_EQ(rig.layer.resources().breaker_state("svc"),
+              CircuitBreaker::State::kClosed);
+  });
 }
 
 TEST_F(ResilienceFixture, AutonomicSymptomReactsToBreakerOpen) {
-  ASSERT_TRUE(layer.autonomic()
-                  .add_symptom({.name = "svc-circuit-open",
-                                .trigger_topic = "resource.breaker.open",
-                                .condition = {},
-                                .change_request = "enter-safe-mode"})
-                  .ok());
-  ChangePlan plan;
-  plan.name = "degrade-gracefully";
-  plan.handles_request = "enter-safe-mode";
-  plan.steps = {broker::set_context_step("mode", Value("safe"))};
-  ASSERT_TRUE(layer.autonomic().add_plan(std::move(plan)).ok());
+  on_both_entries([](Rig& rig) {
+    ASSERT_TRUE(rig.layer.autonomic()
+                    .add_symptom({.name = "svc-circuit-open",
+                                  .trigger_topic = "resource.breaker.open",
+                                  .condition = {},
+                                  .change_request = "enter-safe-mode"})
+                    .ok());
+    ChangePlan plan;
+    plan.name = "degrade-gracefully";
+    plan.handles_request = "enter-safe-mode";
+    plan.steps = {broker::set_context_step("mode", Value("safe"))};
+    ASSERT_TRUE(rig.layer.autonomic().add_plan(std::move(plan)).ok());
 
-  InvocationPolicy policy;
-  policy.max_attempts = 1;
-  policy.breaker.window = 2;
-  policy.breaker.min_samples = 2;
-  policy.breaker.failure_threshold = 0.5;
-  ASSERT_TRUE(layer.resources().set_policy("svc", policy).ok());
-  primary->fail_times(2, Unavailable("down"));
+    InvocationPolicy policy;
+    policy.max_attempts = 1;
+    policy.breaker.window = 2;
+    policy.breaker.min_samples = 2;
+    policy.breaker.failure_threshold = 0.5;
+    ASSERT_TRUE(rig.layer.resources().set_policy("svc", policy).ok());
+    rig.primary->fail_times(2, Unavailable("down"));
 
-  obs::RequestContext context = make_context();
-  (void)layer.resources().invoke("svc", "start", {}, context);
-  (void)layer.resources().invoke("svc", "start", {}, context);
-  EXPECT_EQ(layer.resources().breaker_state("svc"),
-            CircuitBreaker::State::kOpen);
-  EXPECT_EQ(layer.autonomic().adaptations(), 1u);
-  EXPECT_EQ(store.get("mode"), Value("safe"));
+    obs::RequestContext context = rig.make_context();
+    (void)rig.invoke(context);
+    (void)rig.invoke(context);
+    EXPECT_EQ(rig.layer.resources().breaker_state("svc"),
+              CircuitBreaker::State::kOpen);
+    EXPECT_EQ(rig.layer.autonomic().adaptations(), 1u);
+    EXPECT_EQ(rig.store.get("mode"), Value("safe"));
+  });
 }
 
 TEST_F(ResilienceFixture, LegacyContextFreeInvokeRunsThePolicy) {
+  Rig rig(Entry::kInvoke);
   InvocationPolicy policy;
   policy.max_attempts = 2;
   policy.initial_backoff = Duration(0);
-  ASSERT_TRUE(layer.resources().set_policy("svc", policy).ok());
-  primary->fail_times(1, Unavailable("flaky"));
-  auto result = layer.resources().invoke("svc", "start", {});
+  ASSERT_TRUE(rig.layer.resources().set_policy("svc", policy).ok());
+  rig.primary->fail_times(1, Unavailable("flaky"));
+  auto result = rig.layer.resources().invoke("svc", "start", {});
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(counter("broker.retries"), 1u);
+  EXPECT_EQ(rig.counter("broker.retries"), 1u);
 }
 
 TEST_F(ResilienceFixture, SetPolicyValidatesItsInputs) {
+  Rig rig(Entry::kInvoke);
+  ResourceManager& resources = rig.layer.resources();
   InvocationPolicy policy;
   policy.max_attempts = 0;
-  EXPECT_EQ(layer.resources().set_policy("svc", policy).code(),
+  EXPECT_EQ(resources.set_policy("svc", policy).code(),
             ErrorCode::kInvalidArgument);
   policy.max_attempts = 1;
   policy.breaker.window = 4;
   policy.breaker.failure_threshold = 1.5;
-  EXPECT_EQ(layer.resources().set_policy("svc", policy).code(),
+  EXPECT_EQ(resources.set_policy("svc", policy).code(),
             ErrorCode::kInvalidArgument);
   policy.breaker.failure_threshold = 0.5;
   policy.fallback_resource = "svc";
-  EXPECT_EQ(layer.resources().set_policy("svc", policy).code(),
+  EXPECT_EQ(resources.set_policy("svc", policy).code(),
             ErrorCode::kInvalidArgument);
   // No policy installed by the failed attempts: default is fire-once.
-  EXPECT_EQ(layer.resources().policy("svc").max_attempts, 1);
-  EXPECT_EQ(layer.resources().breaker_state("svc"),
-            CircuitBreaker::State::kClosed);
+  EXPECT_EQ(resources.policy("svc").max_attempts, 1);
+  EXPECT_EQ(resources.breaker_state("svc"), CircuitBreaker::State::kClosed);
 }
 
 // ------------------------------------------------------------ chaos soaks

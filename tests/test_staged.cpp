@@ -1,13 +1,16 @@
 // The event-driven staged pipeline (PR 6): cross-thread span parentage,
-// deadline expiry while a request is parked between stages, and N
-// concurrent retrying requests progressing on fewer than N executor
-// threads — the properties that distinguish the continuation-passing
-// core from the PR-5 parked pipeline.
+// deadline expiry while a request is parked between stages, N concurrent
+// retrying requests progressing on fewer than N executor threads, and
+// parity between the sync and staged entry points, which run the same
+// per-layer run loops.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +18,8 @@
 #include "broker/invocation_policy.hpp"
 #include "common/log.hpp"
 #include "core/platform.hpp"
+#include "domains/comm/cml.hpp"
+#include "domains/comm/cvm.hpp"
 #include "soak_fixtures.hpp"
 
 namespace mdsm::core {
@@ -321,27 +326,150 @@ TEST(Staged, StageStatsExposePerStageCounters) {
   EXPECT_NE(snapshot.histogram("stage.complete.delay_us"), nullptr);
 }
 
-// The PR-5 parked pipeline stays available behind the config flag, and
-// the exactly-once callback ledger holds on both paths.
-TEST(Staged, ParkedPipelineStillAvailableBehindFlag) {
-  PlatformConfig config;
-  config.pipeline_threads = 2;
-  config.staged_pipeline = false;
-  auto fixture = make_staged_platform(
-      config, std::make_unique<FlakyAdapter>("svc", 0));
-  ASSERT_NE(fixture.platform, nullptr);
-  Platform& platform = *fixture.platform;
-  std::atomic<int> done{0};
-  ASSERT_TRUE(platform
-                  .submit_async(soak::open_session_text("s1"),
-                                [&done](Result<controller::ControlScript> r) {
-                                  EXPECT_TRUE(r.ok());
-                                  ++done;
-                                })
+/// Fails the invocations whose 1-based sequence numbers are listed, and
+/// succeeds every other one: the same fault schedule for every platform
+/// that replays the same commands.
+class ScheduledFaultAdapter final : public broker::ResourceAdapter {
+ public:
+  ScheduledFaultAdapter(std::string name, std::vector<int> failing)
+      : ResourceAdapter(std::move(name)), failing_(std::move(failing)) {}
+
+  Result<model::Value> execute(const std::string& command,
+                               const broker::Args&) override {
+    const int call = ++calls_;
+    if (std::find(failing_.begin(), failing_.end(), call) != failing_.end()) {
+      return Unavailable("scheduled fault on call " + std::to_string(call));
+    }
+    return model::Value(name() + ":" + command);
+  }
+
+ private:
+  std::vector<int> failing_;
+  std::atomic<int> calls_{0};
+};
+
+/// Everything one submission left behind that both entry points must
+/// agree on: the resource commands, the controller/broker counters and
+/// the controller/broker span names.
+struct LayerFootprint {
+  std::vector<std::string> commands;
+  std::map<std::string, std::uint64_t> counters;
+  std::multiset<std::string> spans;
+};
+
+LayerFootprint footprint(Platform& platform, const obs::Trace& trace) {
+  const auto layered = [](std::string_view name) {
+    return name.starts_with("controller.") || name.starts_with("broker.");
+  };
+  LayerFootprint out;
+  out.commands = platform.trace().snapshot();
+  for (const auto& row : platform.metrics().snapshot().counters) {
+    if (row.value != 0 && layered(row.name)) {
+      out.counters[row.name] = row.value;
+    }
+  }
+  for (const obs::Span& span : trace.spans()) {
+    if (layered(span.name)) out.spans.insert(span.name);
+  }
+  return out;
+}
+
+// One run loop per layer: the sync entry (submit_model_text, every
+// layer settling inline) and the staged one (submit_async, parking its
+// retry backoff on a manual event loop) run the same CVM script against
+// the same fault schedule — a retried command, and one that exhausts its
+// retries and degrades to the fallback — and must leave identical
+// footprints in the broker trace, the counters and the span tree.
+TEST(Staged, SyncAndStagedEntriesLeaveTheSameFootprint) {
+  set_log_level(LogLevel::kOff);
+  const std::string script_text =
+      "model app conforms cml\n"
+      "object Connection c1 {\n  state = pending\n"
+      "  child participants Participant pa { address = \"a@net\" }\n"
+      "  child participants Participant pb { address = \"b@net\" }\n"
+      "  child media Medium m1 { kind = audio }\n}\n";
+  broker::InvocationPolicy policy;
+  policy.max_attempts = 2;
+  policy.initial_backoff = Duration(100);
+  policy.fallback_resource = "backup";
+  const auto assemble = [&](SimClock& sim, bool manual_loop) {
+    PlatformConfig config;
+    config.dsml = comm::cml_metamodel();
+    config.clock = &sim;
+    config.pipeline_threads = 1;
+    config.manual_event_loop = manual_loop;
+    auto assembled =
+        Platform::assemble_from_text(comm::cvm_middleware_model_text(), config);
+    EXPECT_TRUE(assembled.ok()) << assembled.status().to_string();
+    std::unique_ptr<Platform> platform = std::move(assembled.value());
+    // Call 1 fails and its retry (call 2) succeeds; the next command's
+    // two attempts (calls 3 and 4) both fail, so it degrades to the
+    // backup.
+    EXPECT_TRUE(platform
+                    ->add_resource_adapter(
+                        std::make_unique<ScheduledFaultAdapter>(
+                            "comm", std::vector<int>{1, 3, 4}))
+                    .ok());
+    EXPECT_TRUE(platform
+                    ->add_resource_adapter(
+                        std::make_unique<ScheduledFaultAdapter>(
+                            "backup", std::vector<int>{}))
+                    .ok());
+    EXPECT_TRUE(platform->broker().resources().set_policy("comm", policy).ok());
+    EXPECT_TRUE(platform->start().ok());
+    return platform;
+  };
+
+  SimClock sync_clock;
+  std::unique_ptr<Platform> sync_platform = assemble(sync_clock, false);
+  sync_platform->broker().resources().set_sleep_hook(
+      [&sync_clock](Duration d) { sync_clock.advance(d); });
+  obs::RequestContext sync_context = sync_platform->make_context();
+  auto sync_script = sync_platform->submit_model_text(script_text, sync_context);
+  ASSERT_TRUE(sync_script.ok()) << sync_script.status().to_string();
+
+  SimClock staged_clock;
+  std::unique_ptr<Platform> staged_platform = assemble(staged_clock, true);
+  std::atomic<bool> done{false};
+  Result<controller::ControlScript> staged_script =
+      Internal("staged submission never completed");
+  ASSERT_TRUE(staged_platform
+                  ->submit_async(script_text,
+                                 [&](Result<controller::ControlScript> r) {
+                                   staged_script = std::move(r);
+                                   done = true;
+                                 })
                   .ok());
-  while (done.load() != 1) std::this_thread::yield();
-  EXPECT_TRUE(platform.stop().ok());
-  EXPECT_TRUE(platform.stage_stats().empty());  // no stages on this path
+  // Pump virtual time: every parked backoff fires on the next poll.
+  runtime::EventLoop* loop = staged_platform->event_loop();
+  ASSERT_NE(loop, nullptr);
+  const auto wall_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done.load() && std::chrono::steady_clock::now() < wall_deadline) {
+    staged_clock.advance(std::chrono::milliseconds(1));
+    loop->poll();
+    std::this_thread::yield();
+  }
+  ASSERT_TRUE(done.load());
+  ASSERT_TRUE(staged_script.ok()) << staged_script.status().to_string();
+  EXPECT_TRUE(staged_platform->stop().ok());
+  EXPECT_TRUE(sync_platform->stop().ok());
+  EXPECT_EQ(staged_script->commands.size(), sync_script->commands.size());
+
+  const LayerFootprint sync_footprint =
+      footprint(*sync_platform, sync_context.trace());
+  auto staged_context = staged_platform->last_async_context();
+  ASSERT_NE(staged_context, nullptr);
+  const LayerFootprint staged_footprint =
+      footprint(*staged_platform, staged_context->trace());
+  EXPECT_EQ(staged_footprint.commands, sync_footprint.commands);
+  EXPECT_EQ(staged_footprint.counters, sync_footprint.counters);
+  EXPECT_EQ(staged_footprint.spans, sync_footprint.spans);
+  // The schedule really drove the policy paths on both entries.
+  EXPECT_EQ(sync_footprint.counters.at("broker.retries"), 2u);
+  EXPECT_EQ(sync_footprint.counters.at("broker.fallbacks"), 1u);
+  EXPECT_EQ(sync_footprint.spans.count("broker.fallback"), 1u);
+  set_log_level(LogLevel::kWarn);
 }
 
 // PR 10 bugfix regression: only EXECUTED requests feed the admission
