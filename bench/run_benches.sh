@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# PR-10 bench trajectory: runs bench_throughput (serialized/concurrent
+# Bench trajectory: runs bench_throughput (serialized/concurrent
 # sync rows plus the staged async and in-flight-per-core rows in one
 # binary),
 # bench_im_generation, bench_trace_overhead, bench_resilience
@@ -17,24 +17,41 @@
 # owner dies mid-feed must close on the survivor with exactly one
 # re-executed step each and post-failover goodput >= 0.9x the pre-kill
 # plateau), then composes their JSON outputs into a consolidated
-# BENCH_10.json at the repo root — or, with --smoke, into the
-# git-ignored BENCH_smoke.json, so a smoke run never overwrites the
-# committed trajectory file.
+# BENCH_<N>.json at the repo root for the change numbered N — or, with
+# --smoke, into the git-ignored BENCH_smoke.json, so a smoke run never
+# overwrites a committed trajectory file.
 #
-# Usage: bench/run_benches.sh [build-dir] [--smoke]
+# Usage: bench/run_benches.sh [build-dir] (--pr N | --smoke)
 #   build-dir  defaults to <repo>/build
+#   --pr N     trajectory entry: writes BENCH_<N>.json with "pr": N
+#              (required for a full run)
 #   --smoke    small rep counts (CI bit-rot check, numbers not meaningful)
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="$ROOT/build"
 SMOKE=0
-for arg in "$@"; do
-  case "$arg" in
+PR=""
+while [ "$#" -gt 0 ]; do
+  case "$1" in
     --smoke) SMOKE=1 ;;
-    *) BUILD="$arg" ;;
+    --pr)
+      PR="${2:-}"
+      [ "$#" -ge 2 ] && shift
+      ;;
+    *) BUILD="$1" ;;
   esac
+  shift
 done
+if [ -n "$PR" ] && ! [[ "$PR" =~ ^[0-9]+$ ]]; then
+  echo "--pr takes a number, got '$PR'" >&2
+  exit 2
+fi
+if [ "$SMOKE" = 0 ] && [ -z "$PR" ]; then
+  echo "a full run needs --pr N (it writes BENCH_<N>.json); use --smoke" \
+       "for a bit-rot check" >&2
+  exit 2
+fi
 BENCH_DIR="$BUILD/bench"
 
 for binary in bench_throughput bench_im_generation bench_trace_overhead \
@@ -66,11 +83,11 @@ trace_json="$("$BENCH_DIR/bench_trace_overhead")"
 if [ "$SMOKE" = 1 ]; then
   OUT="$ROOT/BENCH_smoke.json"
 else
-  OUT="$ROOT/BENCH_10.json"
+  OUT="$ROOT/BENCH_$PR.json"
 fi
 {
   printf '{\n'
-  printf '  "pr": 10,\n'
+  printf '  "pr": %s,\n' "${PR:-null}"
   printf '  "smoke": %s,\n' "$([ "$SMOKE" = 1 ] && echo true || echo false)"
   printf '  "throughput": %s,\n' "$throughput_json"
   printf '  "im_generation": %s,\n' "$im_json"

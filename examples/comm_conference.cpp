@@ -97,14 +97,15 @@ object Connection standup {
 )");
   show_trace(platform, mark);
 
+  const obs::MetricsSnapshot metrics = platform.metrics().snapshot();
   std::printf("\ncontroller stats: %llu commands (%llu via predefined "
               "actions, %llu via generated intent models)\n",
               static_cast<unsigned long long>(
-                  platform.controller().stats().commands_executed),
+                  metrics.counter_value("controller.commands")),
               static_cast<unsigned long long>(
-                  platform.controller().stats().case1_executions),
+                  metrics.counter_value("controller.case1")),
               static_cast<unsigned long long>(
-                  platform.controller().stats().case2_executions));
+                  metrics.counter_value("controller.case2")));
   std::printf("service handshakes performed: %llu\n",
               static_cast<unsigned long long>((*cvm)->service.handshakes()));
   return 0;

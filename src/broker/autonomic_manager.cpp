@@ -70,8 +70,7 @@ Status AutonomicManager::raise_request(const std::string& request,
     if (plan.handles_request != request) continue;
     Result<bool> applicable = plan.guard.evaluate_bool(*context_);
     if (!applicable.ok() || !*applicable) continue;
-    adaptations_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_ != nullptr) metrics_->counter("autonomic.reactions").add();
+    metrics_->reactions.add();
     log_entry("plan " + plan.name + " executing for " + request);
     // Reactions are reached through bus subscriptions, so the request
     // that caused them is only visible as the ambient context; the span
@@ -83,9 +82,7 @@ Status AutonomicManager::raise_request(const std::string& request,
     }
     Status executed = execute_steps_(plan.steps, args);
     if (request_context != nullptr) request_context->close_span(span);
-    if (!executed.ok() && metrics_ != nullptr) {
-      metrics_->counter("autonomic.reaction_failures").add();
-    }
+    if (!executed.ok()) metrics_->reaction_failures.add();
     return executed;
   }
   return NotFound("no applicable change plan for request '" + request + "'");

@@ -60,16 +60,15 @@ class AutonomicManager {
   Status add_plan(ChangePlan plan);
 
   /// Platform-wide metrics sink (optional; wired via the broker layer).
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept {
-    metrics_ = metrics;
-  }
+  void set_metrics(obs::MetricsRegistry* metrics) { metrics_.wire(metrics); }
 
   /// Manually raise a change request (also used internally by symptom
   /// detection). Selects the highest-priority applicable plan.
   Status raise_request(const std::string& request, const Args& args = {});
 
+  /// Change plans executed ("autonomic.reactions").
   [[nodiscard]] std::uint64_t adaptations() const noexcept {
-    return adaptations_.load(std::memory_order_relaxed);
+    return metrics_->reactions.value();
   }
   [[nodiscard]] std::uint64_t symptoms_detected() const noexcept {
     return detected_.load(std::memory_order_relaxed);
@@ -89,12 +88,17 @@ class AutonomicManager {
 
   runtime::EventBus* bus_;
   policy::ContextStore* context_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  struct Counters {
+    obs::MetricsRegistry& registry;
+    obs::Counter& reactions = registry.counter("autonomic.reactions");
+    obs::Counter& reaction_failures =
+        registry.counter("autonomic.reaction_failures");
+  };
+  obs::MetricHandles<Counters> metrics_;
   StepExecutor execute_steps_;
   std::vector<Symptom> symptoms_;
   std::vector<ChangePlan> plans_;
   std::vector<std::uint64_t> subscriptions_;
-  std::atomic<std::uint64_t> adaptations_{0};
   std::atomic<std::uint64_t> detected_{0};
   mutable std::mutex log_mutex_;  ///< guards log_ only
   std::vector<std::string> log_;

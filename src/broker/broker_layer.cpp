@@ -19,6 +19,7 @@ BrokerLayer::BrokerLayer(std::string name, runtime::EventBus& bus,
         Result<model::Value> result = execute_steps(steps, args);
         return result.ok() ? Status::Ok() : result.status();
       });
+  set_metrics(nullptr);
 }
 
 Status BrokerLayer::register_action(Action action) {
@@ -76,10 +77,10 @@ Result<const Action*> BrokerLayer::select_action(
   return best;
 }
 
-void BrokerLayer::set_metrics(obs::MetricsRegistry* metrics) noexcept {
-  metrics_ = metrics;
-  resources_.set_metrics(metrics);
-  autonomic_->set_metrics(metrics);
+void BrokerLayer::set_metrics(obs::MetricsRegistry* metrics) {
+  metrics_.wire(metrics);
+  resources_.set_metrics(&metrics_.registry());
+  autonomic_->set_metrics(&metrics_.registry());
 }
 
 Result<model::Value> BrokerLayer::call(const Call& call,
@@ -98,7 +99,6 @@ void BrokerLayer::call_async(const Call& broker_call,
 Status BrokerLayer::handle_event(const std::string& topic,
                                  model::Value payload,
                                  obs::RequestContext& context) {
-  events_handled_.fetch_add(1, std::memory_order_relaxed);
   Result<const Action*> action = select_action(topic);
   if (!action.ok()) {
     // Unhandled events are not errors: layers subscribe selectively.
@@ -106,7 +106,7 @@ Status BrokerLayer::handle_event(const std::string& topic,
   }
   obs::ContextScope ambient(context);
   obs::ScopedSpan span(context, "broker.event", topic);
-  if (metrics_ != nullptr) metrics_->counter("broker.events").add();
+  metrics_->events.add();
   Args args;
   args["event.topic"] = model::Value(topic);
   args["event.payload"] = std::move(payload);
@@ -130,8 +130,7 @@ void BrokerLayer::dispatch(const Call& broker_call,
                            obs::RequestContext& context, bool blocking,
                            CallCallback done) {
   obs::ContextScope ambient(context);
-  calls_handled_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) metrics_->counter("broker.calls").add();
+  metrics_->calls.add();
   // The span is closed by `finish`, not a ScopedSpan: a staged call may
   // park and complete on another thread long after this frame unwinds.
   const std::uint64_t span = context.open_span("broker.call",

@@ -7,7 +7,6 @@
 // assembler targets and what tests drive directly.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <shared_mutex>
@@ -59,8 +58,15 @@ class BrokerLayer final : public runtime::Component, public BrokerApi {
   }
 
   /// Platform-wide metrics sink; also forwarded to the resource and
-  /// autonomic managers (optional; wired by the assembler).
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept;
+  /// autonomic managers (optional; wired by the assembler — until then
+  /// the layer records into a registry of its own).
+  void set_metrics(obs::MetricsRegistry* metrics);
+  /// The registry this layer (and its managers) records into:
+  /// "broker.calls", "broker.events" (events a handler dispatched), the
+  /// resource manager's "broker.*" and the autonomic "autonomic.*".
+  [[nodiscard]] obs::MetricsRegistry& metrics() const noexcept {
+    return metrics_.registry();
+  }
 
   // -- BrokerApi (the upward-facing interface)
 
@@ -114,13 +120,9 @@ class BrokerLayer final : public runtime::Component, public BrokerApi {
                            Args call_args, obs::RequestContext& context,
                            CallCallback done);
 
-  // -- statistics
-
-  [[nodiscard]] std::uint64_t calls_handled() const noexcept {
-    return calls_handled_.load(std::memory_order_relaxed);
-  }
+  /// Events a bound handler dispatched ("broker.events").
   [[nodiscard]] std::uint64_t events_handled() const noexcept {
-    return events_handled_.load(std::memory_order_relaxed);
+    return metrics_->events.value();
   }
 
  private:
@@ -147,7 +149,12 @@ class BrokerLayer final : public runtime::Component, public BrokerApi {
 
   runtime::EventBus* bus_;
   policy::ContextStore* context_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  struct Counters {
+    obs::MetricsRegistry& registry;
+    obs::Counter& calls = registry.counter("broker.calls");
+    obs::Counter& events = registry.counter("broker.events");
+  };
+  obs::MetricHandles<Counters> metrics_;
   StateManager state_;
   policy::PolicySet policies_;
   ResourceManager resources_;
@@ -158,8 +165,6 @@ class BrokerLayer final : public runtime::Component, public BrokerApi {
   mutable std::shared_mutex config_mutex_;
   std::map<std::string, Action, std::less<>> actions_;
   std::map<std::string, Handler, std::less<>> handlers_;
-  std::atomic<std::uint64_t> calls_handled_{0};
-  std::atomic<std::uint64_t> events_handled_{0};
 };
 
 }  // namespace mdsm::broker

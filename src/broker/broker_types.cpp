@@ -29,6 +29,7 @@ void CommandTrace::record(const std::string& resource,
   // Format outside the lock; only the append is serialized.
   std::string entry = resource + "." + format_invocation(command, args);
   std::lock_guard lock(mutex_);
+  if (entries_.size() == kCapacity) entries_.pop_front();
   entries_.push_back(std::move(entry));
 }
 

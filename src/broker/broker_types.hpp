@@ -7,6 +7,7 @@
 // for the underlying resources as a result of model interpretation".
 #pragma once
 
+#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -35,22 +36,27 @@ std::string format_invocation(const std::string& name, const Args& args);
 Result<model::Value> require_arg(const Args& args, std::string_view key,
                                  std::string_view op);
 
-/// Append-only record of resource commands, used for equivalence checks
-/// and performance accounting. record()/size()/clear()/snapshot() are safe
-/// under concurrent execution; entries() hands out the underlying vector
-/// and is for quiescent inspection (equivalence checks after the run).
+/// Record of the most recent kCapacity resource commands, oldest first,
+/// used for equivalence checks. The total ever issued is the
+/// "broker.commands" counter; older entries are dropped so a long-lived
+/// server's trace stays bounded. record()/size()/clear()/snapshot() are
+/// safe under concurrent execution; entries() hands out the underlying
+/// deque and is for quiescent inspection (equivalence checks after the
+/// run).
 class CommandTrace {
  public:
+  static constexpr std::size_t kCapacity = 4096;
+
   void record(const std::string& resource, const std::string& command,
               const Args& args);
 
-  [[nodiscard]] const std::vector<std::string>& entries() const noexcept {
+  [[nodiscard]] const std::deque<std::string>& entries() const noexcept {
     return entries_;
   }
   /// Locked point-in-time copy, safe while other threads still record.
   [[nodiscard]] std::vector<std::string> snapshot() const {
     std::lock_guard lock(mutex_);
-    return entries_;
+    return {entries_.begin(), entries_.end()};
   }
   [[nodiscard]] std::size_t size() const {
     std::lock_guard lock(mutex_);
@@ -70,7 +76,7 @@ class CommandTrace {
 
  private:
   mutable std::mutex mutex_;
-  std::vector<std::string> entries_;
+  std::deque<std::string> entries_;
 };
 
 }  // namespace mdsm::broker

@@ -99,38 +99,18 @@ CircuitBreaker::State ResourceManager::breaker_state(
                             : breaker->state();
 }
 
-void ResourceManager::set_metrics(obs::MetricsRegistry* metrics) noexcept {
-  if (metrics == nullptr) {
-    commands_counter_ = exceptions_counter_ = retries_counter_ =
-        exhausted_counter_ = breaker_open_counter_ =
-            breaker_transitions_counter_ = fallbacks_counter_ =
-                overruns_counter_ = late_completions_counter_ = nullptr;
-    return;
-  }
-  commands_counter_ = &metrics->counter("broker.commands");
-  exceptions_counter_ = &metrics->counter("broker.adapter_exceptions");
-  retries_counter_ = &metrics->counter("broker.retries");
-  exhausted_counter_ = &metrics->counter("broker.retry_exhausted");
-  breaker_open_counter_ = &metrics->counter("broker.breaker_open");
-  breaker_transitions_counter_ = &metrics->counter(
-      "broker.breaker_transitions");
-  fallbacks_counter_ = &metrics->counter("broker.fallbacks");
-  overruns_counter_ = &metrics->counter("broker.attempt_overruns");
-  late_completions_counter_ = &metrics->counter("broker.late_completions");
-}
-
 void ResourceManager::record_attempt(const std::string& resource,
                                      const std::string& command,
                                      const Args& args) {
   trace_.record(resource, command, args);
-  count(commands_counter_);
+  metrics_->commands.add();
   log_debug("resource-manager")
       << resource << "." << format_invocation(command, args);
 }
 
 Status ResourceManager::adapter_threw(const std::string& resource,
                                       const std::string& command) {
-  count(exceptions_counter_);
+  metrics_->exceptions.add();
   try {
     throw;
   } catch (const std::exception& e) {
@@ -329,7 +309,7 @@ void ResourceManager::run_attempts(std::shared_ptr<Invocation> call) {
     if (call->state->breaker != nullptr) {
       admitted = call->state->breaker->admit(clock.now());
       if (admitted.admission == CircuitBreaker::Admission::kReject) {
-        count(breaker_open_counter_);
+        metrics_->breaker_open.add();
         log_debug("resource-manager") << call->resource << "."
                                       << call->command
                                       << " fast-failed: circuit open";
@@ -354,12 +334,12 @@ void ResourceManager::run_attempts(std::shared_ptr<Invocation> call) {
                            call->state->breaker->on_result(
                                admitted.admission, false, clock.now()));
       }
-      count(exhausted_counter_);
+      metrics_->exhausted.add();
       call->resolve(gate);
       return;
     }
     ++call->attempt;
-    if (call->attempt > 1) count(retries_counter_);
+    if (call->attempt > 1) metrics_->retries.add();
     const std::uint64_t span = context.open_span(
         "broker.attempt", call->resource + "." + call->command + "#" +
                               std::to_string(call->attempt));
@@ -397,7 +377,7 @@ void ResourceManager::run_attempts(std::shared_ptr<Invocation> call) {
           policy.attempt_timeout,
           [this, call, settled, admission = admitted.admission, span] {
             if (settled->exchange(true, std::memory_order_acq_rel)) return;
-            count(overruns_counter_);
+            metrics_->overruns.add();
             Status timed_out = Timeout(
                 "resource '" + call->resource + "' attempt " +
                 std::to_string(call->attempt) + " of '" + call->command +
@@ -420,7 +400,7 @@ void ResourceManager::run_attempts(std::shared_ptr<Invocation> call) {
           if (settled->exchange(true, std::memory_order_acq_rel)) {
             // The overrun timer already disowned this attempt; its actual
             // outcome — success or not — arrives too late to matter.
-            count(late_completions_counter_);
+            metrics_->late_completions.add();
             return;
           }
           if (overrun_timer != 0) loop_->cancel(overrun_timer);
@@ -455,7 +435,7 @@ bool ResourceManager::attempt_settled(const std::shared_ptr<Invocation>& call,
     return false;
   }
   if (call->attempt >= policy.max_attempts) {
-    count(exhausted_counter_);
+    metrics_->exhausted.add();
     log_warn("resource-manager")
         << call->resource << "." << call->command << " failed after "
         << policy.max_attempts << " attempts: " << last_status.to_string();
@@ -468,7 +448,7 @@ bool ResourceManager::attempt_settled(const std::shared_ptr<Invocation>& call,
     if (remaining.count() <= 0 || delay >= remaining) {
       // Backing off past the deadline would only deliver a late failure;
       // give up with the budget intact rather than returning late.
-      count(exhausted_counter_);
+      metrics_->exhausted.add();
       invoke_fallback(
           call,
           Timeout("resource '" + call->resource + "' retry budget exhausted "
@@ -520,7 +500,7 @@ void ResourceManager::invoke_fallback(const std::shared_ptr<Invocation>& call,
     call->resolve(std::move(primary_status));
     return;
   }
-  count(fallbacks_counter_);
+  metrics_->fallbacks.add();
   bus_->publish("resource.degraded", call->resource,
                 model::Value(model::ValueList{
                     model::Value(call->resource),
@@ -562,7 +542,7 @@ void ResourceManager::invoke_fallback(const std::shared_ptr<Invocation>& call,
 void ResourceManager::publish_transition(
     const std::string& resource, CircuitBreaker::Transition transition) {
   if (transition == CircuitBreaker::Transition::kNone) return;
-  count(breaker_transitions_counter_);
+  metrics_->breaker_transitions.add();
   const bool opened = transition == CircuitBreaker::Transition::kOpened;
   log_warn("resource-manager")
       << "circuit for '" << resource << "' "

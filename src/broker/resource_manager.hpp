@@ -175,8 +175,9 @@ class ResourceManager {
   /// (policy-managed invokes that gave up — attempts or deadline budget
   /// spent), "broker.breaker_open" (fast-fail rejections while open),
   /// "broker.breaker_transitions" (state-machine edges) and
-  /// "broker.fallbacks" (degraded invocations attempted).
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept;
+  /// "broker.fallbacks" (degraded invocations attempted). Until it is
+  /// wired the manager records into a registry of its own.
+  void set_metrics(obs::MetricsRegistry* metrics) { metrics_.wire(metrics); }
 
  private:
   /// Per-resource fault-tolerance state; immutable policy after set,
@@ -231,20 +232,23 @@ class ResourceManager {
   void resume_on_worker(std::function<void()> fn);
   void publish_transition(const std::string& resource,
                           CircuitBreaker::Transition transition);
-  void count(obs::Counter* counter) {
-    if (counter != nullptr) counter->add();
-  }
 
   runtime::EventBus* bus_;
-  obs::Counter* commands_counter_ = nullptr;
-  obs::Counter* exceptions_counter_ = nullptr;
-  obs::Counter* retries_counter_ = nullptr;
-  obs::Counter* exhausted_counter_ = nullptr;
-  obs::Counter* breaker_open_counter_ = nullptr;
-  obs::Counter* breaker_transitions_counter_ = nullptr;
-  obs::Counter* fallbacks_counter_ = nullptr;
-  obs::Counter* overruns_counter_ = nullptr;
-  obs::Counter* late_completions_counter_ = nullptr;
+  struct Counters {
+    obs::MetricsRegistry& registry;
+    obs::Counter& commands = registry.counter("broker.commands");
+    obs::Counter& exceptions = registry.counter("broker.adapter_exceptions");
+    obs::Counter& retries = registry.counter("broker.retries");
+    obs::Counter& exhausted = registry.counter("broker.retry_exhausted");
+    obs::Counter& breaker_open = registry.counter("broker.breaker_open");
+    obs::Counter& breaker_transitions =
+        registry.counter("broker.breaker_transitions");
+    obs::Counter& fallbacks = registry.counter("broker.fallbacks");
+    obs::Counter& overruns = registry.counter("broker.attempt_overruns");
+    obs::Counter& late_completions =
+        registry.counter("broker.late_completions");
+  };
+  obs::MetricHandles<Counters> metrics_;
   std::function<void(Duration)> sleep_hook_;  ///< null = real sleep
   runtime::EventLoop* loop_ = nullptr;        ///< timers for async invokes
   std::function<void(std::function<void()>)> resume_;  ///< worker hand-off

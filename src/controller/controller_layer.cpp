@@ -13,7 +13,9 @@ ControllerLayer::ControllerLayer(std::string name, broker::BrokerApi& broker,
       bus_(&bus),
       context_(&context),
       generator_(dscs_, repository_, context, generator_config),
-      engine_(broker, bus, context) {}
+      engine_(broker, bus, context) {
+  engine_.set_metrics(&metrics_.registry());
+}
 
 Status ControllerLayer::add_procedure(Procedure procedure) {
   if (!dscs_.contains(procedure.classifier)) {
@@ -76,12 +78,16 @@ void ControllerLayer::attach_event_topic(const std::string& topic) {
         signal.name = event.topic;
         signal.args["event.payload"] = event.payload;
         signal.args["event.source"] = model::Value(event.source);
-        {
-          std::lock_guard lock(queue_mutex_);
-          queue_.push_back(std::move(signal));
-        }
-        stats_.signals_received.fetch_add(1, std::memory_order_relaxed);
+        enqueue(std::move(signal));
       }));
+}
+
+void ControllerLayer::enqueue(Signal signal) {
+  {
+    std::lock_guard lock(queue_mutex_);
+    queue_.push_back(std::move(signal));
+  }
+  metrics_->signals.add();
 }
 
 Status ControllerLayer::submit_script(const ControlScript& script,
@@ -92,12 +98,7 @@ Status ControllerLayer::submit_script(const ControlScript& script,
     signal.kind = SignalKind::kCall;
     signal.name = command.name;
     signal.args = command.args;
-    {
-      std::lock_guard lock(queue_mutex_);
-      queue_.push_back(std::move(signal));
-    }
-    stats_.signals_received.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_ != nullptr) metrics_->counter("controller.signals").add();
+    enqueue(std::move(signal));
   }
   return Status::Ok();
 }
@@ -107,18 +108,13 @@ Status ControllerLayer::submit_command(Command command) {
   signal.kind = SignalKind::kCall;
   signal.name = std::move(command.name);
   signal.args = std::move(command.args);
-  {
-    std::lock_guard lock(queue_mutex_);
-    queue_.push_back(std::move(signal));
-  }
-  stats_.signals_received.fetch_add(1, std::memory_order_relaxed);
+  enqueue(std::move(signal));
   return Status::Ok();
 }
 
 void ControllerLayer::report_error(const std::string& signal,
                                    const Status& status) {
-  stats_.errors.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) metrics_->counter("controller.errors").add();
+  metrics_->errors.add();
   bus_->publish("controller.error", name(),
                 model::Value(signal + ": " + status.to_string()));
 }
@@ -147,7 +143,7 @@ std::size_t ControllerLayer::process_pending(obs::RequestContext& context) {
       if (!outcome.ok()) report_error(command.to_text(), outcome.status());
       continue;
     }
-    stats_.events_handled.fetch_add(1, std::memory_order_relaxed);
+    metrics_->events.add();
     // Events are handled by Case-1 actions bound to the topic; an unbound
     // event is simply observed (layers subscribe selectively).
     bool bound;
@@ -268,12 +264,8 @@ void ControllerLayer::execute_case1(const Command& command,
                             command.name + "' in current context"));
     return;
   }
-  stats_.case1_executions.fetch_add(1, std::memory_order_relaxed);
-  stats_.commands_executed.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) {
-    metrics_->counter("controller.case1").add();
-    metrics_->counter("controller.commands").add();
-  }
+  metrics_->case1.add();
+  metrics_->commands.add();
   if (blocking) {
     done(engine_.execute_flat(best->body, command.args, context));
   } else {
@@ -302,12 +294,8 @@ void ControllerLayer::execute_case2(const Command& command,
     done(intent_model.status());
     return;
   }
-  stats_.case2_executions.fetch_add(1, std::memory_order_relaxed);
-  stats_.commands_executed.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) {
-    metrics_->counter("controller.case2").add();
-    metrics_->counter("controller.commands").add();
-  }
+  metrics_->case2.add();
+  metrics_->commands.add();
   // The IM stays pinned for the whole run (the cache may evict it while
   // a staged request is parked mid-execution): by this frame when
   // blocking, by the completion's capture when staged.
@@ -376,8 +364,7 @@ void ControllerLayer::drive_script(std::shared_ptr<ScriptRun> run) {
   obs::ContextScope ambient(*run->context);
   while (run->index < run->script->commands.size()) {
     const Command& command = run->script->commands[run->index++];
-    stats_.signals_received.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_ != nullptr) metrics_->counter("controller.signals").add();
+    metrics_->signals.add();
     const std::uint64_t span =
         run->context->open_span("controller.signal", command.name);
     // Trampoline: inline completions (every blocking one) continue this
@@ -403,21 +390,6 @@ void ControllerLayer::drive_script(std::shared_ptr<ScriptRun> run) {
   process_pending(*run->context);
   run->context->close_span(run->script_span);
   run->done(Status::Ok());
-}
-
-ControllerStats ControllerLayer::stats() const {
-  ControllerStats out;
-  out.signals_received =
-      stats_.signals_received.load(std::memory_order_relaxed);
-  out.commands_executed =
-      stats_.commands_executed.load(std::memory_order_relaxed);
-  out.case1_executions =
-      stats_.case1_executions.load(std::memory_order_relaxed);
-  out.case2_executions =
-      stats_.case2_executions.load(std::memory_order_relaxed);
-  out.errors = stats_.errors.load(std::memory_order_relaxed);
-  out.events_handled = stats_.events_handled.load(std::memory_order_relaxed);
-  return out;
 }
 
 std::size_t ControllerLayer::queued() const {

@@ -53,15 +53,6 @@ struct Signal {
   broker::Args args;
 };
 
-struct ControllerStats {
-  std::uint64_t signals_received = 0;
-  std::uint64_t commands_executed = 0;
-  std::uint64_t case1_executions = 0;
-  std::uint64_t case2_executions = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t events_handled = 0;
-};
-
 class ControllerLayer final : public runtime::Component {
  public:
   ControllerLayer(std::string name, broker::BrokerApi& broker,
@@ -109,10 +100,18 @@ class ControllerLayer final : public runtime::Component {
   void attach_event_topic(const std::string& topic);
 
   /// Platform-wide metrics sink; also forwarded to the execution engine
-  /// (optional; wired by the assembler).
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept {
-    metrics_ = metrics;
-    engine_.set_metrics(metrics);
+  /// (optional; wired by the assembler — until then the layer records
+  /// into a registry of its own).
+  void set_metrics(obs::MetricsRegistry* metrics) {
+    metrics_.wire(metrics);
+    engine_.set_metrics(&metrics_.registry());
+  }
+  /// The registry this layer records into: "controller.signals" (every
+  /// signal, call or event), "controller.commands" (= case1 + case2),
+  /// "controller.case1", "controller.case2", "controller.events" (event
+  /// signals drained) and "controller.errors".
+  [[nodiscard]] obs::MetricsRegistry& metrics() const noexcept {
+    return metrics_.registry();
   }
 
   // ---- operation
@@ -176,9 +175,6 @@ class ControllerLayer final : public runtime::Component {
                              obs::RequestContext& context,
                              CommandCallback done);
 
-  /// Snapshot of the counters (each exact; cross-counter sums may tear
-  /// momentarily while requests are in flight).
-  [[nodiscard]] ControllerStats stats() const;
   [[nodiscard]] std::size_t queued() const;
 
  private:
@@ -197,6 +193,8 @@ class ControllerLayer final : public runtime::Component {
                      bool blocking, CommandCallback done);
   /// Count and publish a contained signal failure ("controller.error").
   void report_error(const std::string& signal, const Status& status);
+  /// Queue one signal and count it.
+  void enqueue(Signal signal);
 
   /// Shared state of one script run.
   struct ScriptRun;
@@ -211,7 +209,16 @@ class ControllerLayer final : public runtime::Component {
   broker::BrokerApi* broker_;
   runtime::EventBus* bus_;
   policy::ContextStore* context_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  struct Counters {
+    obs::MetricsRegistry& registry;
+    obs::Counter& signals = registry.counter("controller.signals");
+    obs::Counter& commands = registry.counter("controller.commands");
+    obs::Counter& case1 = registry.counter("controller.case1");
+    obs::Counter& case2 = registry.counter("controller.case2");
+    obs::Counter& events = registry.counter("controller.events");
+    obs::Counter& errors = registry.counter("controller.errors");
+  };
+  obs::MetricHandles<Counters> metrics_;
   DscRegistry dscs_;
   ProcedureRepository repository_;
   IntentModelGenerator generator_;
@@ -229,15 +236,6 @@ class ControllerLayer final : public runtime::Component {
   mutable std::mutex queue_mutex_;  ///< guards queue_ only
   std::deque<Signal> queue_;
   std::vector<std::uint64_t> subscriptions_;
-  struct AtomicStats {
-    std::atomic<std::uint64_t> signals_received{0};
-    std::atomic<std::uint64_t> commands_executed{0};
-    std::atomic<std::uint64_t> case1_executions{0};
-    std::atomic<std::uint64_t> case2_executions{0};
-    std::atomic<std::uint64_t> errors{0};
-    std::atomic<std::uint64_t> events_handled{0};
-  };
-  mutable AtomicStats stats_;
 };
 
 }  // namespace mdsm::controller

@@ -163,7 +163,6 @@ Status ExecutionEngine::exec_instruction(const Instruction& instruction,
       if (stack.size() >= config_.max_stack_depth) {
         return ExecutionError("procedure stack overflow");
       }
-      stats_.procedure_pushes.fetch_add(1, std::memory_order_relaxed);
       Frame child{};
       child.node = node->children[index].get();
       child.span = context.open_span("controller.eu",
@@ -258,8 +257,7 @@ void ExecutionEngine::start(const IntentModel& intent_model,
 void ExecutionEngine::start(Frame initial, broker::Args command_args,
                             obs::RequestContext& context, bool blocking,
                             ExecuteCallback done) {
-  stats_.executions.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) metrics_->counter("controller.eu_executions").add();
+  metrics_->executions.add();
   auto run = std::make_shared<RunState>();
   run->command_args = std::move(command_args);
   run->context = &context;
@@ -297,13 +295,6 @@ bool ExecutionEngine::consume_call(const std::shared_ptr<RunState>& run) {
 void ExecutionEngine::drive(std::shared_ptr<RunState> run) {
   obs::ContextScope ambient(*run->context);
   while (true) {
-    // Atomic running-max: CAS loop so concurrent runs never regress it.
-    std::size_t depth = run->stack.size();
-    std::size_t seen = stats_.max_stack_depth.load(std::memory_order_relaxed);
-    while (depth > seen &&
-           !stats_.max_stack_depth.compare_exchange_weak(
-               seen, depth, std::memory_order_relaxed)) {
-    }
     const Instruction* instruction = fetch(run->stack, *run->context);
     if (instruction == nullptr) break;
     if (++run->steps > config_.max_steps) {
@@ -320,12 +311,9 @@ void ExecutionEngine::drive(std::shared_ptr<RunState> run) {
       finish(run, budget);
       return;
     }
-    stats_.instructions.fetch_add(1, std::memory_order_relaxed);
+    metrics_->instructions.add();
     if (instruction->op == OpCode::kBrokerCall) {
-      stats_.broker_calls.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_ != nullptr) {
-        metrics_->counter("controller.broker_calls").add();
-      }
+      metrics_->broker_calls.add();
       broker::Call call;
       call.name = instruction->a;
       call.args = resolve_all(instruction->args, run->command_args);
@@ -360,26 +348,6 @@ void ExecutionEngine::drive(std::shared_ptr<RunState> run) {
     }
   }
   finish(run, std::move(run->result));
-}
-
-EngineStats ExecutionEngine::stats() const {
-  EngineStats out;
-  out.instructions = stats_.instructions.load(std::memory_order_relaxed);
-  out.broker_calls = stats_.broker_calls.load(std::memory_order_relaxed);
-  out.procedure_pushes =
-      stats_.procedure_pushes.load(std::memory_order_relaxed);
-  out.max_stack_depth =
-      stats_.max_stack_depth.load(std::memory_order_relaxed);
-  out.executions = stats_.executions.load(std::memory_order_relaxed);
-  return out;
-}
-
-void ExecutionEngine::reset_stats() {
-  stats_.instructions.store(0, std::memory_order_relaxed);
-  stats_.broker_calls.store(0, std::memory_order_relaxed);
-  stats_.procedure_pushes.store(0, std::memory_order_relaxed);
-  stats_.max_stack_depth.store(0, std::memory_order_relaxed);
-  stats_.executions.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace mdsm::controller

@@ -28,14 +28,6 @@
 
 namespace mdsm::controller {
 
-struct EngineStats {
-  std::uint64_t instructions = 0;
-  std::uint64_t broker_calls = 0;
-  std::uint64_t procedure_pushes = 0;
-  std::size_t max_stack_depth = 0;
-  std::uint64_t executions = 0;
-};
-
 struct EngineConfig {
   std::size_t max_steps = 1'000'000;   ///< runaway-EU backstop
   std::size_t max_stack_depth = 256;
@@ -98,8 +90,11 @@ class ExecutionEngine {
                           obs::RequestContext& context, ExecuteCallback done);
 
   /// Platform-wide metrics sink (optional; wired via the controller).
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept {
-    metrics_ = metrics;
+  void set_metrics(obs::MetricsRegistry* metrics) { metrics_.wire(metrics); }
+  /// The registry this engine records into: "controller.eu_executions",
+  /// "controller.instructions" and "controller.broker_calls".
+  [[nodiscard]] obs::MetricsRegistry& metrics() const noexcept {
+    return metrics_.registry();
   }
 
   /// Engine memory ("memory management" ops). Shared across executions —
@@ -119,11 +114,6 @@ class ExecutionEngine {
     std::lock_guard lock(memory_mutex_);
     return memory_;
   }
-
-  /// Snapshot of the counters (each exact; cross-counter sums may tear
-  /// momentarily under concurrent executions).
-  [[nodiscard]] EngineStats stats() const;
-  void reset_stats();
 
  private:
   struct Frame {
@@ -181,19 +171,17 @@ class ExecutionEngine {
   broker::BrokerApi* broker_;
   runtime::EventBus* bus_;
   policy::ContextStore* context_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  struct Counters {
+    obs::MetricsRegistry& registry;
+    obs::Counter& executions = registry.counter("controller.eu_executions");
+    obs::Counter& instructions = registry.counter("controller.instructions");
+    obs::Counter& broker_calls = registry.counter("controller.broker_calls");
+  };
+  obs::MetricHandles<Counters> metrics_;
   Sender sender_;
   EngineConfig config_;
   mutable std::mutex memory_mutex_;  ///< guards memory_ only
   std::map<std::string, model::Value, std::less<>> memory_;
-  struct AtomicStats {
-    std::atomic<std::uint64_t> instructions{0};
-    std::atomic<std::uint64_t> broker_calls{0};
-    std::atomic<std::uint64_t> procedure_pushes{0};
-    std::atomic<std::size_t> max_stack_depth{0};
-    std::atomic<std::uint64_t> executions{0};
-  };
-  AtomicStats stats_;
 };
 
 }  // namespace mdsm::controller

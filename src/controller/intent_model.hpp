@@ -145,7 +145,8 @@ class IntentModelGenerator {
   const ProcedureRepository* repository_;
   const policy::ContextStore* context_;
   GeneratorConfig config_;
-  struct AtomicStats {
+  /// Backs stats(); these counts have no registry twin.
+  struct Tallies {
     std::atomic<std::uint64_t> generated{0};
     std::atomic<std::uint64_t> validated{0};
     std::atomic<std::uint64_t> selected{0};
@@ -154,7 +155,7 @@ class IntentModelGenerator {
     std::atomic<std::uint64_t> guard_rejections{0};
     std::atomic<std::uint64_t> cycle_rejections{0};
   };
-  mutable AtomicStats stats_;
+  mutable Tallies stats_;
   std::array<CacheShard, kCacheShards> cache_;
 };
 

@@ -2,33 +2,26 @@
 
 namespace mdsm::core {
 
-void AdmissionController::set_metrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    shed_expired_ = nullptr;
-    shed_predicted_ = nullptr;
-    return;
-  }
-  shed_expired_ = &metrics->counter("ui.shed_expired");
-  shed_predicted_ = &metrics->counter("ui.shed_predicted");
-}
-
 Status AdmissionController::admit(const obs::RequestContext& context) {
   if (!config_.enabled || !context.deadline().has_value()) {
     return Status::Ok();
   }
   const TimePoint now = context.clock().now();
   if (now >= *context.deadline()) {
-    if (shed_expired_ != nullptr) shed_expired_->add();
+    metrics_->shed_expired.add();
     publish_shed(context, "expired");
     return Timeout(context.tag() + " shed at admission: deadline already "
                    "spent");
   }
   const Duration budget = *context.deadline() - now;
   const Duration predicted = predicted_latency();
-  if (predicted.count() > 0 &&
+  const Duration since_sample =
+      now.time_since_epoch() -
+      Duration(last_sample_us_.load(std::memory_order_relaxed));
+  if (predicted.count() > 0 && since_sample <= predicted &&
       static_cast<double>(budget.count()) <
           config_.safety_factor * static_cast<double>(predicted.count())) {
-    if (shed_predicted_ != nullptr) shed_predicted_->add();
+    metrics_->shed_predicted.add();
     publish_shed(context, "predicted");
     return Unavailable(context.tag() + " shed at admission: budget " +
                        std::to_string(budget.count()) +
@@ -41,6 +34,8 @@ Status AdmissionController::admit(const obs::RequestContext& context) {
 void AdmissionController::record_latency(Duration observed) noexcept {
   if (observed.count() < 0) return;
   const double sample = static_cast<double>(observed.count());
+  last_sample_us_.store(clock_->now().time_since_epoch().count(),
+                        std::memory_order_relaxed);
   if (!seeded_.exchange(true, std::memory_order_relaxed)) {
     ewma_us_.store(sample, std::memory_order_relaxed);
     return;

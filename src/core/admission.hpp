@@ -13,6 +13,13 @@
 //     request latencies (queue delay included for async submissions) —
 //     is shed as doomed ("ui.shed_predicted").
 //
+// Only executed requests feed the EWMA, so a prediction that no sample
+// has refreshed for longer than the latency it predicts is stale: the
+// next request is admitted as a probe instead of shed, and its sample
+// moves the prediction. Without that, one stall that pushed the
+// prediction past a budget would shed every later request with that
+// budget for good.
+//
 // Every shed publishes a "request.shed" bus event (payload
 // ["expired"|"predicted", request tag]) so autonomic symptoms and
 // monitors can react to load shedding exactly like any other condition.
@@ -45,10 +52,14 @@ class AdmissionController {
     return config_;
   }
 
-  /// Wire the platform's metrics registry and event bus. Call once,
-  /// before traffic.
-  void set_metrics(obs::MetricsRegistry* metrics);
-  void set_bus(runtime::EventBus* bus) noexcept { bus_ = bus; }
+  /// Wire the platform's metrics registry, event bus and clock (the one
+  /// its request contexts run on). Call once, before traffic.
+  void wire(obs::MetricsRegistry& metrics, runtime::EventBus& bus,
+            const Clock& clock) {
+    metrics_.wire(&metrics);
+    bus_ = &bus;
+    clock_ = &clock;
+  }
 
   /// Gate a request at the UI boundary. Ok admits; kTimeout means the
   /// deadline is already spent; kUnavailable means the remaining budget
@@ -72,9 +83,16 @@ class AdmissionController {
   AdmissionConfig config_;
   std::atomic<double> ewma_us_{0.0};
   std::atomic<bool> seeded_{false};
-  obs::Counter* shed_expired_ = nullptr;
-  obs::Counter* shed_predicted_ = nullptr;
+  /// Clock reading (µs since its epoch) when the last sample arrived.
+  std::atomic<Duration::rep> last_sample_us_{0};
+  struct Counters {
+    obs::MetricsRegistry& registry;
+    obs::Counter& shed_expired = registry.counter("ui.shed_expired");
+    obs::Counter& shed_predicted = registry.counter("ui.shed_predicted");
+  };
+  obs::MetricHandles<Counters> metrics_;
   runtime::EventBus* bus_ = nullptr;
+  const Clock* clock_ = &obs::steady_clock();
 };
 
 }  // namespace mdsm::core

@@ -66,8 +66,8 @@ Result<std::unique_ptr<Platform>> Platform::assemble(
   admission_config.ewma_alpha = root.get_real("admission_alpha", 0.2);
   admission_config.safety_factor = root.get_real("admission_safety", 1.0);
   platform->admission_.configure(admission_config);
-  platform->admission_.set_metrics(&platform->metrics_);
-  platform->admission_.set_bus(&platform->bus_);
+  platform->admission_.wire(platform->metrics_, platform->bus_,
+                            *platform->clock_);
 
   // Networked ingress (PR 7): the front-end's endpoint name, auth stub
   // and default wire deadline are model attributes too — a split
@@ -462,9 +462,9 @@ Result<controller::ControlScript> Platform::submit_model(
   // stamped with this request's id.
   obs::ContextScope ambient(context);
   obs::ScopedSpan span(context, "ui.submit", application_model.name());
-  metrics_.counter("requests.submitted").add();
+  counters_.submitted.add();
   auto fail = [this](Status status) -> Result<controller::ControlScript> {
-    metrics_.counter("requests.failed").add();
+    counters_.failed.add();
     return status;
   };
   if (Status gate = ui_gate(context); !gate.ok()) {
@@ -504,7 +504,7 @@ Status Platform::reject_late_success(obs::RequestContext& context) {
   // make this rare — it fires only when the final pipeline stage itself
   // crossed the deadline.
   if (!context.expired()) return Status::Ok();
-  metrics_.counter("ui.completed_late").add();
+  counters_.completed_late.add();
   return Timeout(context.tag() + " completed after its deadline");
 }
 
@@ -624,8 +624,8 @@ Status Platform::submit_async(std::string text, SubmitCallback callback,
           if (request->resolved.exchange(true, std::memory_order_acq_rel)) {
             return;
           }
-          metrics_.counter("ui.watchdog_timeouts").add();
-          metrics_.counter("requests.failed").add();
+          counters_.watchdog_timeouts.add();
+          counters_.failed.add();
           invoke_callback(request->callback,
                           Timeout(request->context->tag() +
                                   " deadline expired in the staged pipeline"));
@@ -684,7 +684,7 @@ void Platform::finish_staged(const std::shared_ptr<StagedRequest>& request,
   if (request->executed) {
     admission_.record_latency(request->context->elapsed());
   }
-  if (!outcome.ok()) metrics_.counter("requests.failed").add();
+  if (!outcome.ok()) counters_.failed.add();
   const bool won =
       !request->resolved.exchange(true, std::memory_order_acq_rel);
   // Close-through: the root span pops any child spans a timed-out chain
@@ -722,7 +722,7 @@ void Platform::stage_synthesis(std::shared_ptr<StagedRequest> request) {
   request->context->close_span(request->queue_span);
   if (staged_abandoned(request)) return;
   obs::ContextScope ambient(*request->context);
-  metrics_.counter("requests.submitted").add();
+  counters_.submitted.add();
   if (Status gate = ui_gate(*request->context); !gate.ok()) {
     finish_staged(request, std::move(gate));
     return;
@@ -789,10 +789,10 @@ void Platform::invoke_callback(const SubmitCallback& callback,
   try {
     callback(std::move(outcome));
   } catch (const std::exception& error) {
-    metrics_.counter("ui.callback_failures").add();
+    counters_.callback_failures.add();
     log_warn("platform") << "submit_async callback threw: " << error.what();
   } catch (...) {
-    metrics_.counter("ui.callback_failures").add();
+    counters_.callback_failures.add();
     log_warn("platform") << "submit_async callback threw a non-exception";
   }
 }
@@ -972,7 +972,7 @@ Status Platform::import_session_state(const model::Value& state) {
       [this](const std::string& key, const model::Value& value) {
         broker_->state().set(key, value);
       }));
-  metrics_.counter("platform.session_states_imported").add();
+  counters_.session_states_imported.add();
   return Status::Ok();
 }
 

@@ -356,6 +356,17 @@ class Platform {
   model::MetamodelPtr dsml_;
   const Clock* clock_ = &obs::steady_clock();
   obs::MetricsRegistry metrics_;
+  struct Counters {
+    obs::MetricsRegistry& registry;
+    obs::Counter& submitted = registry.counter("requests.submitted");
+    obs::Counter& failed = registry.counter("requests.failed");
+    obs::Counter& completed_late = registry.counter("ui.completed_late");
+    obs::Counter& watchdog_timeouts = registry.counter("ui.watchdog_timeouts");
+    obs::Counter& callback_failures = registry.counter("ui.callback_failures");
+    obs::Counter& session_states_imported =
+        registry.counter("platform.session_states_imported");
+  };
+  Counters counters_{metrics_};
   std::unique_ptr<obs::RequestContext> last_context_;
   mutable std::mutex last_async_mutex_;  ///< guards last_async_context_
   std::shared_ptr<obs::RequestContext> last_async_context_;

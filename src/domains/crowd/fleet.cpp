@@ -285,10 +285,10 @@ Result<controller::ControlScript> CrowdDevice::submit_model_text(
   // bulk query starts.
   if (!queries_.empty()) context.set_attribute("priority", "high");
   obs::ScopedSpan span(context, "ui.submit", parsed->name());
-  metrics_.counter("requests.submitted").add();
+  submitted_.add();
   Result<controller::ControlScript> script =
       synthesis_->submit_model(std::move(parsed.value()), context);
-  if (!script.ok()) metrics_.counter("requests.failed").add();
+  if (!script.ok()) failed_.add();
   return script;
 }
 

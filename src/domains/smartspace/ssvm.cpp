@@ -157,10 +157,10 @@ Result<controller::ControlScript> SsvmHub::submit_model_text(
   Result<model::Model> parsed = model::parse_model(text, ssml_metamodel());
   if (!parsed.ok()) return parsed.status();
   obs::ScopedSpan span(context, "ui.submit", parsed->name());
-  metrics_.counter("requests.submitted").add();
+  submitted_.add();
   Result<controller::ControlScript> script =
       synthesis_->submit_model(std::move(parsed.value()), context);
-  if (!script.ok()) metrics_.counter("requests.failed").add();
+  if (!script.ok()) failed_.add();
   return script;
 }
 

@@ -20,7 +20,6 @@
 // racing teardown fail soft with kUnavailable instead of crashing).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -84,24 +83,12 @@ class IngressServer {
   void post_refusal(const std::string& to, std::uint64_t request_id,
                     const Status& status, std::string refusal = {});
 
-  /// Snapshot of the server's delivery ledger (all counters are also
-  /// mirrored as "ingress.*" metrics in the platform registry).
-  struct Stats {
-    std::uint64_t received = 0;     ///< wire messages seen
-    std::uint64_t malformed = 0;    ///< undecodable payloads
-    std::uint64_t unrouted = 0;     ///< no route matched the topic
-    std::uint64_t refused = 0;      ///< typed refusals sent (door + chain)
-    std::uint64_t accepted = 0;     ///< handed to submit_async, Ok at door
-    std::uint64_t completed_ok = 0; ///< pipeline outcomes delivered Ok
-    std::uint64_t completed_error = 0;
-    std::uint64_t replies = 0;        ///< replies handed to the network
-    std::uint64_t reply_failures = 0; ///< network refused the reply send
-    std::uint64_t deduped = 0;        ///< retried submits answered/absorbed
-                                      ///< by the ledger, not re-executed
-    std::uint64_t dedup_expired = 0;  ///< completed entries dropped by TTL
-                                      ///< (the retry re-executed as fresh)
-  };
-  [[nodiscard]] Stats stats() const;
+  // The delivery ledger lives in the platform's registry: "ingress.*"
+  // received, malformed, unrouted, refused (+ ".<slug>"), accepted
+  // (handed to submit_async, Ok at the door), completed_ok /
+  // completed_error (pipeline outcomes), replies,
+  // reply_failures, deduped and dedup_expired, plus the
+  // "ingress.service_us" histogram.
 
  private:
   IngressServer(core::Platform& platform, net::Network& network);
@@ -141,17 +128,22 @@ class IngressServer {
   std::unique_ptr<runtime::EventLoop> reply_loop_;
   TimePoint attach_time_{};
 
-  std::atomic<std::uint64_t> received_{0};
-  std::atomic<std::uint64_t> malformed_{0};
-  std::atomic<std::uint64_t> unrouted_{0};
-  std::atomic<std::uint64_t> refused_{0};
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> completed_ok_{0};
-  std::atomic<std::uint64_t> completed_error_{0};
-  std::atomic<std::uint64_t> replies_{0};
-  std::atomic<std::uint64_t> reply_failures_{0};
-  std::atomic<std::uint64_t> deduped_{0};
-  std::atomic<std::uint64_t> dedup_expired_{0};
+  struct Counters {
+    obs::MetricsRegistry& registry;
+    obs::Counter& received = registry.counter("ingress.received");
+    obs::Counter& malformed = registry.counter("ingress.malformed");
+    obs::Counter& unrouted = registry.counter("ingress.unrouted");
+    obs::Counter& refused = registry.counter("ingress.refused");
+    obs::Counter& accepted = registry.counter("ingress.accepted");
+    obs::Counter& completed_ok = registry.counter("ingress.completed_ok");
+    obs::Counter& completed_error = registry.counter("ingress.completed_error");
+    obs::Counter& replies = registry.counter("ingress.replies");
+    obs::Counter& reply_failures = registry.counter("ingress.reply_failures");
+    obs::Counter& deduped = registry.counter("ingress.deduped");
+    obs::Counter& dedup_expired = registry.counter("ingress.dedup_expired");
+    obs::Histogram& service_us = registry.histogram("ingress.service_us");
+  };
+  Counters counters_;
 
   /// Dedup ledger (PR 8, restructured in PR 10): one entry per
   /// "<client>#<id>" identity, in flight from admission until its

@@ -9,17 +9,20 @@
 namespace mdsm::ingress {
 
 void MiddlewareChain::add(std::string name, Middleware fn) {
-  entries_.push_back(Entry{std::move(name), std::move(fn)});
+  obs::Counter& refusals = refusals_of(name);
+  entries_.push_back(Entry{std::move(name), std::move(fn), &refusals});
+}
+
+void MiddlewareChain::set_metrics(obs::MetricsRegistry* metrics) {
+  metrics_ = metrics != nullptr ? metrics : &own_metrics_;
+  for (Entry& entry : entries_) entry.refusals = &refusals_of(entry.name);
 }
 
 Status MiddlewareChain::run(IngressContext& context) const {
   for (const Entry& entry : entries_) {
     Status status = entry.fn(context);
     if (!status.ok()) {
-      if (metrics_ != nullptr) {
-        metrics_->counter("ingress.middleware." + entry.name + ".refusals")
-            .add();
-      }
+      entry.refusals->add();
       if (context.refusal.empty()) {
         context.refusal = std::string(wire::classify_refusal(status));
       }

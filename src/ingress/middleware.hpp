@@ -54,13 +54,12 @@ class MiddlewareChain {
   void add(std::string name, Middleware fn);
 
   /// Run every middleware in registration order; the first non-Ok
-  /// status stops the chain and is returned. Counts per-middleware
-  /// refusals when a registry is attached.
+  /// status stops the chain and is returned, and counted as a refusal
+  /// of that middleware.
   [[nodiscard]] Status run(IngressContext& context) const;
 
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept {
-    metrics_ = metrics;
-  }
+  /// Registry the refusal counters live in (null: one the chain owns).
+  void set_metrics(obs::MetricsRegistry* metrics);
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
@@ -70,9 +69,14 @@ class MiddlewareChain {
   struct Entry {
     std::string name;
     Middleware fn;
+    obs::Counter* refusals;  ///< "ingress.middleware.<name>.refusals"
   };
+  [[nodiscard]] obs::Counter& refusals_of(const std::string& name) {
+    return metrics_->counter("ingress.middleware." + name + ".refusals");
+  }
   std::vector<Entry> entries_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::MetricsRegistry own_metrics_;
+  obs::MetricsRegistry* metrics_ = &own_metrics_;
 };
 
 /// Per-client token-bucket rate limiter backing the "rate-limit"

@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -112,6 +113,35 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
+};
+
+/// A component's metric handles and the registry they live in: the
+/// component's own registry until wire() points it at a shared one.
+/// `Handles` is an aggregate whose first member is the
+/// `MetricsRegistry&` and whose handle members resolve their names from
+/// it in default member initializers, once — so recording an event is
+/// one relaxed add, with no name lookup and no null check, and each
+/// event is counted once whether or not an assembler wired the component.
+template <typename Handles>
+class MetricHandles {
+ public:
+  MetricHandles() { wire(nullptr); }
+  MetricHandles(const MetricHandles&) = delete;
+  MetricHandles& operator=(const MetricHandles&) = delete;
+
+  /// Re-resolve every handle in `registry` (null: the own registry).
+  /// Assembly time only — not synchronized against recorders.
+  void wire(MetricsRegistry* registry) {
+    handles_.emplace(Handles{registry != nullptr ? *registry : own_});
+  }
+  [[nodiscard]] MetricsRegistry& registry() const noexcept {
+    return handles_->registry;
+  }
+  const Handles* operator->() const noexcept { return &*handles_; }
+
+ private:
+  MetricsRegistry own_;
+  std::optional<Handles> handles_;
 };
 
 }  // namespace mdsm::obs

@@ -51,8 +51,7 @@ void Executor::shutdown() {
 }
 
 Status Executor::reject(const char* why) {
-  rejections_.fetch_add(1, std::memory_order_relaxed);
-  if (rejections_counter_ != nullptr) rejections_counter_->add();
+  metrics_->rejections.add();
   return Unavailable(std::string("executor refused task: ") + why);
 }
 
@@ -108,8 +107,7 @@ Status Executor::submit(Task task) {
             return false;
           };
           if (!shed_from(queues_[0])) shed_from(queues_[1]);
-          shed_.fetch_add(1, std::memory_order_relaxed);
-          if (shed_counter_ != nullptr) shed_counter_->add();
+          metrics_->shed.add();
           break;
         }
       }
@@ -195,9 +193,7 @@ void Executor::worker_loop() {
       lane.pop_front();
       if (!next.continuation) --bounded_pending_;
       ++active_;
-      if (queue_delay_histogram_ != nullptr) {
-        queue_delay_histogram_->record(clock_->now() - next.enqueued_at);
-      }
+      metrics_->queue_delay.record(clock_->now() - next.enqueued_at);
       task = std::move(next.run);
       space_.notify_one();
     }
@@ -205,12 +201,10 @@ void Executor::worker_loop() {
     try {
       task();
     } catch (const std::exception& e) {
-      task_failures_.fetch_add(1, std::memory_order_relaxed);
-      if (failures_counter_ != nullptr) failures_counter_->add();
+      metrics_->failures.add();
       log_error("executor") << "task threw: " << e.what();
     } catch (...) {
-      task_failures_.fetch_add(1, std::memory_order_relaxed);
-      if (failures_counter_ != nullptr) failures_counter_->add();
+      metrics_->failures.add();
       log_error("executor") << "task threw a non-std::exception";
     }
   }

@@ -80,9 +80,9 @@ class Executor {
   /// rejecting a worker's own continuation could deadlock a full queue.
   ///
   /// A task that throws does not kill the worker or the process: the
-  /// exception is caught, counted in task_failures() (and the
-  /// "runtime.executor_task_failures" metric when one is attached) and
-  /// logged; the pool keeps serving and drain() still returns.
+  /// exception is caught, counted in task_failures() (the
+  /// "runtime.executor_task_failures" metric) and logged; the pool keeps
+  /// serving and drain() still returns.
   Status submit(std::function<void()> task);
   Status submit(Task task);
 
@@ -94,20 +94,9 @@ class Executor {
   /// subsequent submits are rejected. Idempotent; the destructor calls it.
   void shutdown();
 
-  /// Platform-wide metrics sink (optional). Call before submitting.
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept {
-    if (metrics == nullptr) {
-      failures_counter_ = nullptr;
-      rejections_counter_ = nullptr;
-      shed_counter_ = nullptr;
-      queue_delay_histogram_ = nullptr;
-      return;
-    }
-    failures_counter_ = &metrics->counter("runtime.executor_task_failures");
-    rejections_counter_ = &metrics->counter("runtime.executor_rejections");
-    shed_counter_ = &metrics->counter("runtime.executor_shed");
-    queue_delay_histogram_ = &metrics->histogram("runtime.queue_delay_us");
-  }
+  /// Platform-wide metrics sink (optional; until it is wired the pool
+  /// records into a registry of its own). Call before submitting.
+  void set_metrics(obs::MetricsRegistry* metrics) { metrics_.wire(metrics); }
 
   /// Clock used to stamp enqueue→dequeue delay (default: process steady
   /// clock). Platforms inject theirs so queue delay shares request time.
@@ -137,15 +126,15 @@ class Executor {
   }
   /// Tasks whose invocation threw (contained, never propagated).
   [[nodiscard]] std::uint64_t task_failures() const noexcept {
-    return task_failures_.load(std::memory_order_relaxed);
+    return metrics_->failures.value();
   }
   /// Submits refused (queue full under kReject, or after shutdown).
   [[nodiscard]] std::uint64_t rejections() const noexcept {
-    return rejections_.load(std::memory_order_relaxed);
+    return metrics_->rejections.value();
   }
   /// Queued tasks dropped by kShedOldest before running.
   [[nodiscard]] std::uint64_t shed_tasks() const noexcept {
-    return shed_.load(std::memory_order_relaxed);
+    return metrics_->shed.value();
   }
 
  private:
@@ -177,13 +166,14 @@ class Executor {
   bool joined_ = false;
   std::atomic<std::size_t> max_pending_{0};
   std::atomic<std::size_t> max_bounded_pending_{0};
-  std::atomic<std::uint64_t> task_failures_{0};
-  std::atomic<std::uint64_t> rejections_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  obs::Counter* failures_counter_ = nullptr;
-  obs::Counter* rejections_counter_ = nullptr;
-  obs::Counter* shed_counter_ = nullptr;
-  obs::Histogram* queue_delay_histogram_ = nullptr;
+  struct Counters {
+    obs::MetricsRegistry& registry;
+    obs::Counter& failures = registry.counter("runtime.executor_task_failures");
+    obs::Counter& rejections = registry.counter("runtime.executor_rejections");
+    obs::Counter& shed = registry.counter("runtime.executor_shed");
+    obs::Histogram& queue_delay = registry.histogram("runtime.queue_delay_us");
+  };
+  obs::MetricHandles<Counters> metrics_;
 };
 
 }  // namespace mdsm::runtime

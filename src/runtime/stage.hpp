@@ -34,7 +34,8 @@ using Continuation = std::function<void()>;
 
 class StagePipeline {
  public:
-  /// Metrics may be null (tests); stages then keep counters only.
+  /// Metrics may be null (tests); stages then record into a registry
+  /// the pipeline owns.
   StagePipeline(Executor& executor, const Clock& clock,
                 obs::MetricsRegistry* metrics);
 
@@ -68,7 +69,7 @@ class StagePipeline {
     std::string name;
     std::size_t depth = 0;      ///< currently queued, not yet started
     std::size_t max_depth = 0;  ///< deepest the stage queue ever got
-    std::uint64_t entered = 0;  ///< accepted submissions
+    std::uint64_t entered = 0;  ///< accepted ("stage.<name>.entered")
     std::uint64_t shed = 0;     ///< dropped by kShedOldest while queued
   };
   [[nodiscard]] std::vector<StageStats> stats() const;
@@ -79,17 +80,21 @@ class StagePipeline {
 
  private:
   struct Stage {
+    Stage(std::string stage_name, obs::MetricsRegistry& registry)
+        : name(std::move(stage_name)),
+          delay(registry.histogram("stage." + name + ".delay_us")),
+          entered(registry.counter("stage." + name + ".entered")) {}
     std::string name;
-    obs::Histogram* delay = nullptr;   ///< "stage.<name>.delay_us"
-    obs::Counter* entered_counter = nullptr;
+    obs::Histogram& delay;
+    obs::Counter& entered;
     std::atomic<std::size_t> depth{0};
     std::atomic<std::size_t> max_depth{0};
-    std::atomic<std::uint64_t> entered{0};
     std::atomic<std::uint64_t> shed{0};
   };
 
   Executor* executor_;
   const Clock* clock_;
+  obs::MetricsRegistry own_metrics_;
   obs::MetricsRegistry* metrics_;
   /// unique_ptr for stable addresses: queued closures hold Stage*
   /// across add_stage() growth. Add-only.

@@ -42,23 +42,22 @@ Result<controller::ControlScript> SynthesisEngine::commit_model(
 
 Result<controller::ControlScript> SynthesisEngine::commit_core(
     model::Model new_model, obs::RequestContext& context) {
-  stats_.models_submitted.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) metrics_->counter("synthesis.models").add();
+  metrics_->models.add();
   // Checks that do not touch shared synthesis state run before the serial
   // section so rejected submissions never contend with live ones.
   if (Status deadline = context.check_deadline("synthesis"); !deadline.ok()) {
-    stats_.rejected_models.fetch_add(1, std::memory_order_relaxed);
+    metrics_->rejected.add();
     return deadline;
   }
   if (&new_model.metamodel() != dsml_.get()) {
-    stats_.rejected_models.fetch_add(1, std::memory_order_relaxed);
+    metrics_->rejected.add();
     return InvalidArgument("submitted model conforms to metamodel '" +
                            new_model.metamodel().name() +
                            "', engine expects '" + dsml_->name() + "'");
   }
   Status valid = new_model.validate();
   if (!valid.ok()) {
-    stats_.rejected_models.fetch_add(1, std::memory_order_relaxed);
+    metrics_->rejected.add();
     return valid;
   }
   Result<controller::ControlScript> script = InvalidArgument("unreachable");
@@ -75,24 +74,19 @@ Result<controller::ControlScript> SynthesisEngine::commit_core(
     // paper's assumption that LTSs fully cover their DSML.
     script = interpreter_.interpret(changes, new_model);
     if (!script.ok()) {
-      stats_.rejected_models.fetch_add(1, std::memory_order_relaxed);
+      metrics_->rejected.add();
       return script;
     }
     // Dispatcher: ship the script down, then commit the runtime model.
     if (dispatch_ != nullptr && !script->empty()) {
       Status dispatched = dispatch_(*script, context);
       if (!dispatched.ok()) {
-        stats_.rejected_models.fetch_add(1, std::memory_order_relaxed);
+        metrics_->rejected.add();
         return dispatched;
       }
     }
-    stats_.scripts_dispatched.fetch_add(1, std::memory_order_relaxed);
-    stats_.commands_generated.fetch_add(script->commands.size(),
-                                        std::memory_order_relaxed);
-    if (metrics_ != nullptr) {
-      metrics_->counter("synthesis.scripts").add();
-      metrics_->counter("synthesis.commands").add(script->commands.size());
-    }
+    metrics_->scripts.add();
+    metrics_->commands.add(script->commands.size());
     runtime_model_ = std::move(new_model);
     if (listener_ != nullptr) listener_(runtime_model_);
   }
@@ -101,7 +95,7 @@ Result<controller::ControlScript> SynthesisEngine::commit_core(
 
 void SynthesisEngine::handle_controller_event(const std::string& topic,
                                               const model::Value& payload) {
-  stats_.controller_events.fetch_add(1, std::memory_order_relaxed);
+  metrics_->controller_events.add();
   std::lock_guard lock(event_mutex_);
   event_log_.push_back(topic + ": " + payload.to_text());
 }
@@ -134,20 +128,6 @@ Status SynthesisEngine::restore_state(
   interpreter_.restore_states(std::move(lts_states));
   if (listener_ != nullptr) listener_(runtime_model_);
   return Status::Ok();
-}
-
-SynthesisStats SynthesisEngine::stats() const {
-  SynthesisStats out;
-  out.models_submitted =
-      stats_.models_submitted.load(std::memory_order_relaxed);
-  out.scripts_dispatched =
-      stats_.scripts_dispatched.load(std::memory_order_relaxed);
-  out.commands_generated =
-      stats_.commands_generated.load(std::memory_order_relaxed);
-  out.rejected_models = stats_.rejected_models.load(std::memory_order_relaxed);
-  out.controller_events =
-      stats_.controller_events.load(std::memory_order_relaxed);
-  return out;
 }
 
 std::vector<std::string> SynthesisEngine::event_log() const {

@@ -15,7 +15,6 @@
 // swap, not the work.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -31,14 +30,6 @@
 #include "synthesis/change_interpreter.hpp"
 
 namespace mdsm::synthesis {
-
-struct SynthesisStats {
-  std::uint64_t models_submitted = 0;
-  std::uint64_t scripts_dispatched = 0;
-  std::uint64_t commands_generated = 0;
-  std::uint64_t rejected_models = 0;
-  std::uint64_t controller_events = 0;
-};
 
 class SynthesisEngine final : public runtime::Component {
  public:
@@ -97,8 +88,13 @@ class SynthesisEngine final : public runtime::Component {
                                                  obs::RequestContext& context);
 
   /// Platform-wide metrics sink (optional; wired by the assembler).
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept {
-    metrics_ = metrics;
+  void set_metrics(obs::MetricsRegistry* metrics) { metrics_.wire(metrics); }
+  /// The registry this engine records into: "synthesis.models"
+  /// (submitted), "synthesis.rejected" (refused before commit),
+  /// "synthesis.scripts" and "synthesis.commands" (committed), and
+  /// "synthesis.controller_events".
+  [[nodiscard]] obs::MetricsRegistry& metrics() const noexcept {
+    return metrics_.registry();
   }
 
   /// Events from the Controller layer (exceptional conditions); recorded
@@ -120,9 +116,6 @@ class SynthesisEngine final : public runtime::Component {
   [[nodiscard]] const ChangeInterpreter& interpreter() const noexcept {
     return interpreter_;
   }
-  /// Snapshot of the counters (each exact; cross-counter sums may tear
-  /// momentarily while submissions are in flight).
-  [[nodiscard]] SynthesisStats stats() const;
   [[nodiscard]] std::vector<std::string> event_log() const;
 
   /// Atomic export of the synthesis-layer session state: the serialized
@@ -152,7 +145,16 @@ class SynthesisEngine final : public runtime::Component {
   model::MetamodelPtr dsml_;
   Lts lts_;
   ChangeInterpreter interpreter_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  struct Counters {
+    obs::MetricsRegistry& registry;
+    obs::Counter& models = registry.counter("synthesis.models");
+    obs::Counter& rejected = registry.counter("synthesis.rejected");
+    obs::Counter& scripts = registry.counter("synthesis.scripts");
+    obs::Counter& commands = registry.counter("synthesis.commands");
+    obs::Counter& controller_events =
+        registry.counter("synthesis.controller_events");
+  };
+  obs::MetricHandles<Counters> metrics_;
   Dispatch dispatch_;
   Dispatch executor_;
   ModelListener listener_;
@@ -161,14 +163,6 @@ class SynthesisEngine final : public runtime::Component {
   mutable std::mutex mutex_;
   model::Model runtime_model_;  ///< "an empty model if the system has
                                 ///< just been started"
-  struct AtomicStats {
-    std::atomic<std::uint64_t> models_submitted{0};
-    std::atomic<std::uint64_t> scripts_dispatched{0};
-    std::atomic<std::uint64_t> commands_generated{0};
-    std::atomic<std::uint64_t> rejected_models{0};
-    std::atomic<std::uint64_t> controller_events{0};
-  };
-  mutable AtomicStats stats_;
   mutable std::mutex event_mutex_;  ///< guards event_log_ only
   std::vector<std::string> event_log_;
 };

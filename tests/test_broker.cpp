@@ -62,6 +62,28 @@ TEST_F(BrokerFixture, InvokeRoutesAndTraces) {
   ASSERT_EQ(resource->executed.size(), 1u);
 }
 
+// A long-lived server issues commands for ever; the trace keeps only the
+// newest kCapacity of them while "broker.commands" keeps the total.
+TEST_F(BrokerFixture, TraceKeepsTheNewestEntriesAndTheCounterAll) {
+  constexpr std::size_t kExtra = 5;
+  constexpr std::size_t kTotal = CommandTrace::kCapacity + kExtra;
+  for (std::size_t i = 0; i < kTotal; ++i) {
+    ASSERT_TRUE(layer.resources()
+                    .invoke("audio", "n", {{"i", Value(std::int64_t(i))}})
+                    .ok());
+  }
+  const CommandTrace& trace = layer.trace();
+  ASSERT_EQ(trace.size(), CommandTrace::kCapacity);
+  EXPECT_EQ(trace.entries().front(),
+            "audio.n(i=" + std::to_string(kExtra) + ")");
+  EXPECT_EQ(trace.entries().back(),
+            "audio.n(i=" + std::to_string(kTotal - 1) + ")");
+  EXPECT_EQ(trace.snapshot().size(), CommandTrace::kCapacity);
+  EXPECT_EQ(layer.metrics().snapshot().counter_value("broker.commands"),
+            kTotal);
+  EXPECT_EQ(resource->executed.size(), kTotal);
+}
+
 TEST_F(BrokerFixture, InvokeUnknownResourceFails) {
   EXPECT_EQ(layer.resources().invoke("video", "start", {}).status().code(),
             ErrorCode::kNotFound);
@@ -125,7 +147,7 @@ TEST_F(BrokerFixture, ActionStepsExecuteInOrderWithTemplates) {
   EXPECT_EQ(context.get("last.session"), Value("s42"));
   EXPECT_EQ(events, 1);
   EXPECT_EQ(layer.trace().entries()[0], "audio.allocate(session=\"s42\")");
-  EXPECT_EQ(layer.calls_handled(), 1u);
+  EXPECT_EQ(layer.metrics().snapshot().counter_value("broker.calls"), 1u);
 }
 
 TEST_F(BrokerFixture, TemplateResolutionRules) {
@@ -217,9 +239,9 @@ TEST_F(BrokerFixture, EventsDispatchBoundActionsAndIgnoreUnbound) {
   ASSERT_TRUE(layer.bind_handler("resource.link.lost", {"react"}).ok());
   EXPECT_TRUE(layer.handle_event("resource.link.lost", Value("s1")).ok());
   EXPECT_EQ(layer.trace().entries().back(), "audio.reconnect(why=\"s1\")");
-  // Unbound events are fine.
+  // Unbound events are fine: observed, but no handler dispatched them.
   EXPECT_TRUE(layer.handle_event("resource.ignored", {}).ok());
-  EXPECT_EQ(layer.events_handled(), 2u);
+  EXPECT_EQ(layer.events_handled(), 1u);
 }
 
 // ---------------------------------------------------- Autonomic manager

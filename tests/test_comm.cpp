@@ -189,8 +189,9 @@ object Connection c1 {
                   .ok());
   // session.create and media.open are Case 2 (DSC mappings); party.add is
   // Case 1 (bound pass-through action).
-  EXPECT_GE(platform.controller().stats().case2_executions, 2u);
-  EXPECT_GE(platform.controller().stats().case1_executions, 2u);
+  const obs::MetricsSnapshot metrics = platform.metrics().snapshot();
+  EXPECT_GE(metrics.counter_value("controller.case2"), 2u);
+  EXPECT_GE(metrics.counter_value("controller.case1"), 2u);
 }
 
 // ------------------------------------------- Exp-1 behavioral equivalence

@@ -331,7 +331,9 @@ TEST_F(ControllerFixture, EngineMemoryEventAndResultOps) {
   EXPECT_EQ(context.get("done"), Value(true));
   EXPECT_TRUE(layer.engine().memory("x").is_none());
   EXPECT_EQ(layer.engine().memory("y"), Value(41));
-  EXPECT_GE(layer.engine().stats().instructions, 6u);
+  EXPECT_GE(layer.engine().metrics().snapshot().counter_value(
+                "controller.instructions"),
+            6u);
 }
 
 TEST_F(ControllerFixture, EngineGuardFailureAborts) {
@@ -402,7 +404,7 @@ TEST_F(ControllerFixture, Case1ViaBoundAction) {
   ASSERT_TRUE(layer.bind_action("x", {"do-x"}).ok());
   auto value = layer.execute_command({"x", {{"id", Value("i1")}}});
   ASSERT_TRUE(value.ok());
-  EXPECT_EQ(layer.stats().case1_executions, 1u);
+  EXPECT_EQ(layer.metrics().snapshot().counter_value("controller.case1"), 1u);
   EXPECT_EQ(broker.trace().entries()[0], "broker.x.do(id=\"i1\")");
 }
 
@@ -411,10 +413,10 @@ TEST_F(ControllerFixture, Case2ViaDscMapping) {
   ASSERT_TRUE(layer.add_procedure(leaf("py", "op.y")).ok());
   ASSERT_TRUE(layer.map_command("y", "op.y").ok());
   ASSERT_TRUE(layer.execute_command({"y", {}}).ok());
-  EXPECT_EQ(layer.stats().case2_executions, 1u);
+  EXPECT_EQ(layer.metrics().snapshot().counter_value("controller.case2"), 1u);
   // A command named exactly like a DSC needs no explicit mapping.
   ASSERT_TRUE(layer.execute_command({"op.y", {}}).ok());
-  EXPECT_EQ(layer.stats().case2_executions, 2u);
+  EXPECT_EQ(layer.metrics().snapshot().counter_value("controller.case2"), 2u);
 }
 
 TEST_F(ControllerFixture, ClassificationPolicyOverridesDefaults) {
@@ -427,14 +429,14 @@ TEST_F(ControllerFixture, ClassificationPolicyOverridesDefaults) {
   ASSERT_TRUE(layer.bind_action("op.z", {"flat-z"}).ok());
   // Default (bound action wins): Case 1.
   ASSERT_TRUE(layer.execute_command({"op.z", {}}).ok());
-  EXPECT_EQ(layer.stats().case1_executions, 1u);
+  EXPECT_EQ(layer.metrics().snapshot().counter_value("controller.case1"), 1u);
   // Policy: commands force Case 2 when flexibility mode is on.
   ASSERT_TRUE(layer.classification_policies()
                   .add("flexible", "mode == \"dynamic\"", "case2", 10)
                   .ok());
   context.set("mode", Value("dynamic"));
   ASSERT_TRUE(layer.execute_command({"op.z", {}}).ok());
-  EXPECT_EQ(layer.stats().case2_executions, 1u);
+  EXPECT_EQ(layer.metrics().snapshot().counter_value("controller.case2"), 1u);
 }
 
 TEST_F(ControllerFixture, SelectionPolicyPicksStrategy) {
@@ -469,7 +471,7 @@ TEST_F(ControllerFixture, ScriptProcessingCountsErrorsWithoutWedging) {
   ASSERT_TRUE(layer.submit_script(script).ok());
   EXPECT_EQ(layer.queued(), 3u);
   EXPECT_EQ(layer.process_pending(), 3u);
-  EXPECT_EQ(layer.stats().errors, 1u);
+  EXPECT_EQ(layer.metrics().snapshot().counter_value("controller.errors"), 1u);
   EXPECT_EQ(errors, 1);
   EXPECT_EQ(broker.trace().size(), 2u);
   EXPECT_EQ(layer.queued(), 0u);
@@ -487,7 +489,30 @@ TEST_F(ControllerFixture, EventSignalsHandledByBoundActions) {
   EXPECT_EQ(layer.queued(), 1u);
   EXPECT_EQ(layer.process_pending(), 1u);
   EXPECT_EQ(context.get("fault.seen"), Value("disk"));
-  EXPECT_EQ(layer.stats().events_handled, 1u);
+  EXPECT_EQ(layer.metrics().snapshot().counter_value("controller.events"), 1u);
+}
+
+// The registry an assembler wires in is the only count: an event signal
+// that reaches a Case-1 action through attach_event_topic shows up in
+// controller.signals and controller.events like any call.
+TEST_F(ControllerFixture, EventSignalsReachTheWiredRegistry) {
+  obs::MetricsRegistry registry;
+  layer.set_metrics(&registry);
+  ControllerAction action;
+  action.name = "on-fault";
+  action.body = {set_context("fault.seen", Value("$event.payload"))};
+  ASSERT_TRUE(layer.register_action(std::move(action)).ok());
+  ASSERT_TRUE(layer.bind_action("resource.fault", {"on-fault"}).ok());
+  layer.attach_event_topic("resource.fault");
+  bus.publish("resource.fault", "test", Value("disk"));
+  EXPECT_EQ(layer.process_pending(), 1u);
+  EXPECT_EQ(context.get("fault.seen"), Value("disk"));
+  const obs::MetricsSnapshot metrics = registry.snapshot();
+  EXPECT_EQ(metrics.counter_value("controller.signals"), 1u);
+  EXPECT_EQ(metrics.counter_value("controller.events"), 1u);
+  EXPECT_EQ(metrics.counter_value("controller.case1"), 1u);
+  EXPECT_EQ(metrics.counter_value("controller.commands"), 1u);
+  EXPECT_EQ(metrics.counter_value("controller.errors"), 0u);
 }
 
 TEST_F(ControllerFixture, ConfigurationErrors) {

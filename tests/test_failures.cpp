@@ -33,8 +33,9 @@ object Connection c1 {
   // Dispatch succeeds (the script was delivered); the command failure is
   // reported through the event path, not as a submission failure.
   ASSERT_TRUE(script.ok()) << script.status().to_string();
-  EXPECT_EQ(platform.controller().stats().errors, 1u);
-  EXPECT_GE(platform.synthesis().stats().controller_events, 1u);
+  const obs::MetricsSnapshot metrics = platform.metrics().snapshot();
+  EXPECT_EQ(metrics.counter_value("controller.errors"), 1u);
+  EXPECT_GE(metrics.counter_value("synthesis.controller_events"), 1u);
   ASSERT_FALSE(platform.synthesis().event_log().empty());
   EXPECT_NE(platform.synthesis().event_log()[0].find("media.open"),
             std::string::npos);
@@ -154,7 +155,7 @@ TEST(FailureInjection, MidScriptFailureDoesNotWedgeRemainingCommands) {
   };
   ASSERT_TRUE(ucm.submit_script(script).ok());
   EXPECT_EQ(ucm.process_pending(), 3u);
-  EXPECT_EQ(ucm.stats().errors, 1u);
+  EXPECT_EQ(ucm.metrics().snapshot().counter_value("controller.errors"), 1u);
   EXPECT_NE((*cvm)->service.find_session("ok1"), nullptr);
   EXPECT_NE((*cvm)->service.find_session("ok2"), nullptr);
 }

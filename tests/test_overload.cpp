@@ -36,12 +36,14 @@ struct OverloadPlatform {
 };
 
 OverloadPlatform make_overload_platform(std::string_view extra_attrs,
-                                        unsigned pipeline_threads = 2) {
+                                        unsigned pipeline_threads = 2,
+                                        const Clock* clock = nullptr) {
   OverloadPlatform out;
   out.dsml = model::testing::make_test_metamodel();
   PlatformConfig config;
   config.dsml = out.dsml;
   config.pipeline_threads = pipeline_threads;
+  config.clock = clock;
   auto assembled =
       Platform::assemble_from_text(overload_model_text(extra_attrs), config);
   if (!assembled.ok()) return out;
@@ -130,6 +132,45 @@ TEST(Overload, AdmissionShedsWhenBudgetBelowPredictedLatency) {
                   .ok());
   EXPECT_LT(platform.admission().predicted_latency(),
             std::chrono::milliseconds(50));
+  EXPECT_TRUE(platform.stop().ok());
+}
+
+// Only executed requests feed the EWMA. Once one stall pushed the
+// prediction past a budget, shedding on that prediction for good would
+// lock out every later request with that budget: nothing could ever
+// bring the prediction back down. A prediction no sample has refreshed
+// for longer than it claims a request takes admits a probe instead, and
+// the probes' fast samples pull it back under the budget.
+TEST(Overload, StalePredictionAdmitsProbesUntilItRecovers) {
+  SimClock clock;
+  auto fixture = make_overload_platform("admission = true", 2, &clock);
+  ASSERT_NE(fixture.platform, nullptr);
+  Platform& platform = *fixture.platform;
+  constexpr Duration kBudget = std::chrono::milliseconds(10);
+  auto submit = [&](const std::string& session) {
+    auto context = platform.make_context(kBudget);
+    return platform.submit_model_text(soak::open_session_text(session),
+                                      context);
+  };
+  // One stall: the EWMA now predicts 50 ms, five times the budget.
+  platform.admission().record_latency(std::chrono::milliseconds(50));
+  EXPECT_EQ(submit("s0").status().code(), ErrorCode::kUnavailable);
+  // No sample for longer than the prediction: admitted as a probe. Each
+  // probe runs in zero virtual time, so its sample drags the EWMA down.
+  int probes = 0;
+  while (platform.admission().predicted_latency() >= kBudget &&
+         probes < 50) {
+    clock.advance(platform.admission().predicted_latency() +
+                  std::chrono::microseconds(1));
+    ASSERT_TRUE(submit("p" + std::to_string(probes)).ok()) << probes;
+    ++probes;
+  }
+  EXPECT_LT(platform.admission().predicted_latency(), kBudget);
+  // Recovered: the budget is admitted on the prediction itself.
+  EXPECT_TRUE(submit("s1").ok());
+  EXPECT_TRUE(submit("s2").ok());
+  EXPECT_EQ(platform.metrics().snapshot().counter_value("ui.shed_predicted"),
+            1u);
   EXPECT_TRUE(platform.stop().ok());
 }
 

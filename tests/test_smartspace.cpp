@@ -150,7 +150,8 @@ object SmartSpace room {
 )")
                   .ok());
   space->pump();
-  EXPECT_EQ(space->hub->controller().stats().errors, 0u);
+  EXPECT_EQ(space->hub->metrics().snapshot().counter_value("controller.errors"),
+            0u);
   // Work happened on the object's broker, not the hub's.
   EXPECT_GT(space->nodes.at("lamp")->broker().trace().size(), 0u);
 }

@@ -105,11 +105,10 @@ TEST_F(SoakTest, ConcurrentSubmissionsReconcileUnderChaos) {
   EXPECT_EQ(snapshot.counter_value("requests.submitted"), kTotal);
   EXPECT_EQ(snapshot.counter_value("synthesis.models"), kTotal);
   EXPECT_EQ(snapshot.counter_value("synthesis.commands"), kTotal);
-  EXPECT_EQ(platform.controller().stats().commands_executed, kTotal);
+  EXPECT_EQ(snapshot.counter_value("controller.commands"), kTotal);
   // Each chaos fault fails exactly one command; each failed command is
   // one controller error, reported once on the bus.
   const std::uint64_t faults = chaos.threw + chaos.failed;
-  EXPECT_EQ(platform.controller().stats().errors, faults);
   EXPECT_EQ(snapshot.counter_value("controller.errors"), faults);
   EXPECT_EQ(error_events.load(), faults);
   // The command trace records every issued command exactly once, even
@@ -196,7 +195,8 @@ TEST_F(SoakTest, BackgroundBusAndTimerChurnDoesNotDisturbSubmissions) {
   // Fault-free: exactly two resource commands per submission.
   EXPECT_EQ(platform.trace().size(), 2 * kTotal);
   EXPECT_EQ(soaked.inner->executed(), 2 * kTotal);
-  EXPECT_EQ(platform.controller().stats().errors, 0u);
+  EXPECT_EQ(platform.metrics().snapshot().counter_value("controller.errors"),
+            0u);
   // The churn left no subscriptions behind and timers really cycled.
   EXPECT_EQ(platform.bus().subscription_count(), baseline_subscriptions);
   EXPECT_GT(churn_deliveries.load(), 0u);
@@ -214,7 +214,8 @@ TEST_F(SoakTest, BackgroundBusAndTimerChurnDoesNotDisturbSubmissions) {
                   .submit_model_text(soak::close_session_text("s-final"),
                                      close_context)
                   .ok());
-  EXPECT_EQ(platform.controller().stats().case1_executions, 1u);
+  EXPECT_EQ(platform.metrics().snapshot().counter_value("controller.case1"),
+            1u);
   ASSERT_FALSE(platform.trace().entries().empty());
   EXPECT_EQ(platform.trace().entries().back(), "svc.close(id=\"s-final\")");
 

@@ -147,7 +147,8 @@ TEST_F(SynthesisFixture, InvalidModelRejectedAndRuntimeModelUnchanged) {
   EXPECT_EQ(engine.submit_model(std::move(bad)).status().code(),
             ErrorCode::kConformanceError);
   EXPECT_EQ(engine.runtime_model().size(), 1u);  // previous model in force
-  EXPECT_EQ(engine.stats().rejected_models, 1u);
+  EXPECT_EQ(engine.metrics().snapshot().counter_value("synthesis.rejected"),
+            1u);
 }
 
 TEST_F(SynthesisFixture, WrongMetamodelRejected) {
@@ -187,7 +188,9 @@ TEST_F(SynthesisFixture, IdenticalResubmissionDispatchesNothing) {
 
 TEST_F(SynthesisFixture, ControllerEventsRecorded) {
   engine.handle_controller_event("controller.error", Value("cmd failed"));
-  EXPECT_EQ(engine.stats().controller_events, 1u);
+  EXPECT_EQ(engine.metrics().snapshot().counter_value(
+                "synthesis.controller_events"),
+            1u);
   ASSERT_EQ(engine.event_log().size(), 1u);
   EXPECT_EQ(engine.event_log()[0], "controller.error: \"cmd failed\"");
 }
@@ -213,9 +216,10 @@ TEST_F(SynthesisFixture, TemplateEscapesAndUnknownsPassThrough) {
 
 TEST_F(SynthesisFixture, StatsAccumulate) {
   ASSERT_TRUE(engine.submit_model(base_model()).ok());
-  EXPECT_EQ(engine.stats().models_submitted, 1u);
-  EXPECT_EQ(engine.stats().scripts_dispatched, 1u);
-  EXPECT_EQ(engine.stats().commands_generated, 1u);
+  const obs::MetricsSnapshot metrics = engine.metrics().snapshot();
+  EXPECT_EQ(metrics.counter_value("synthesis.models"), 1u);
+  EXPECT_EQ(metrics.counter_value("synthesis.scripts"), 1u);
+  EXPECT_EQ(metrics.counter_value("synthesis.commands"), 1u);
   EXPECT_EQ(engine.interpreter().stats().transitions_fired, 1u);
   // AddObject + default-applied state attr = 2 changes processed.
   EXPECT_GE(engine.interpreter().stats().changes_processed, 2u);
