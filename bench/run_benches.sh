@@ -19,7 +19,9 @@
 # plateau), then composes their JSON outputs into a consolidated
 # BENCH_<N>.json at the repo root for the change numbered N — or, with
 # --smoke, into the git-ignored BENCH_smoke.json, so a smoke run never
-# overwrites a committed trajectory file.
+# overwrites a committed trajectory file. Every bench gates through its
+# exit code: the first one that fails stops the run with its status and
+# no JSON is written.
 #
 # Usage: bench/run_benches.sh [build-dir] (--pr N | --smoke)
 #   build-dir  defaults to <repo>/build
@@ -67,15 +69,15 @@ if [ "$SMOKE" = 1 ]; then
   throughput_json="$("$BENCH_DIR/bench_throughput" --smoke --json)"
   im_json="$("$BENCH_DIR/bench_im_generation" --json --cycles 2000)"
   resilience_json="$("$BENCH_DIR/bench_resilience" --smoke)"
-  overload_json="$("$BENCH_DIR/bench_overload" --smoke --json)" || true
-  ingress_json="$("$BENCH_DIR/bench_ingress" --smoke --json)" || true
+  overload_json="$("$BENCH_DIR/bench_overload" --smoke --json)"
+  ingress_json="$("$BENCH_DIR/bench_ingress" --smoke --json)"
   cluster_json="$("$BENCH_DIR/bench_cluster" --smoke --json --min-scaling 2.5)"
 else
   throughput_json="$("$BENCH_DIR/bench_throughput" --json)"
   im_json="$("$BENCH_DIR/bench_im_generation" --json)"
   resilience_json="$("$BENCH_DIR/bench_resilience")"
-  overload_json="$("$BENCH_DIR/bench_overload" --json)" || true
-  ingress_json="$("$BENCH_DIR/bench_ingress" --json)" || true
+  overload_json="$("$BENCH_DIR/bench_overload" --json)"
+  ingress_json="$("$BENCH_DIR/bench_ingress" --json)"
   cluster_json="$("$BENCH_DIR/bench_cluster" --json)"
 fi
 trace_json="$("$BENCH_DIR/bench_trace_overhead")"

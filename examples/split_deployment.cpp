@@ -14,9 +14,14 @@
 // 2, one worker, a burst of 20) to show the PR-5 backpressure contract
 // crossing the network: door refusals come back as *typed* refusal
 // replies ("overload"), not silence, and every submission resolves
-// exactly once.
+// exactly once. The first burst request holds the one worker inside the
+// comm service until the rest of the burst has been answered, so the
+// outcome is the same on every run: 3 ok, 17 overload. The example exits
+// non-zero if the server ledger shows no overload refusal.
+#include <condition_variable>
 #include <cstdio>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -32,7 +37,8 @@ using namespace mdsm;
 
 namespace {
 
-/// Stand-in for the conferencing services the CVM drives.
+/// Stand-in for the conferencing services the CVM drives. While held,
+/// a call waits inside the service until release().
 class ConsoleCommService final : public broker::ResourceAdapter {
  public:
   ConsoleCommService() : ResourceAdapter("comm") {}
@@ -40,8 +46,37 @@ class ConsoleCommService final : public broker::ResourceAdapter {
                                const broker::Args& args) override {
     (void)args;
     std::printf("    [comm resource] %s\n", command.c_str());
+    std::unique_lock lock(mutex_);
+    if (held_) {
+      waiting_ = true;
+      released_.wait(lock, [&] { return !held_; });
+      waiting_ = false;
+    }
     return model::Value(true);
   }
+
+  void hold() {
+    std::lock_guard lock(mutex_);
+    held_ = true;
+  }
+  void release() {
+    {
+      std::lock_guard lock(mutex_);
+      held_ = false;
+    }
+    released_.notify_all();
+  }
+  /// True once a call is waiting inside the held service.
+  bool waiting() {
+    std::lock_guard lock(mutex_);
+    return waiting_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable released_;
+  bool held_ = false;
+  bool waiting_ = false;
 };
 
 /// Deliver requests, pump the server's reply loop, deliver replies —
@@ -83,8 +118,9 @@ int main() {
     std::printf("assemble failed: %s\n", platform.status().to_string().c_str());
     return 1;
   }
-  (void)platform.value()->add_resource_adapter(
-      std::make_unique<ConsoleCommService>());
+  auto service = std::make_unique<ConsoleCommService>();
+  ConsoleCommService& comm_service = *service;
+  (void)platform.value()->add_resource_adapter(std::move(service));
   if (Status started = platform.value()->start(); !started.ok()) {
     std::printf("start failed: %s\n", started.to_string().c_str());
     return 1;
@@ -144,11 +180,13 @@ int main() {
   }
 
   // 5. Overload: a burst of 20 against a queue of 2 and one worker.
-  //    Refusals come back as typed replies; nothing is silently lost.
+  //    The first request holds the worker in the comm service, two more
+  //    fill the queue, and the other 17 come back as typed refusals
+  //    while the worker is still held; nothing is silently lost.
   std::printf("-- remote burst: 20 submissions, queue capacity 2 --\n");
   std::map<std::string, int> tally;
   int resolved = 0;
-  for (int i = 0; i < 20; ++i) {
+  auto submit_burst = [&](int i) {
     std::string id = "b" + std::to_string(i);
     (void)client.value()->submit(
         "cml", "burst",
@@ -158,7 +196,13 @@ int main() {
           ++resolved;
           ++tally[result.status.ok() ? "ok" : result.refusal];
         });
-  }
+  };
+  comm_service.hold();
+  submit_burst(0);
+  drive(network, *server.value(), [&] { return comm_service.waiting(); });
+  for (int i = 1; i < 20; ++i) submit_burst(i);
+  drive(network, *server.value(), [&] { return resolved == 17; });
+  comm_service.release();
   drive(network, *server.value(), [&] { return resolved == 20; });
   for (const auto& [slug, count] : tally) {
     std::printf("  %-10s %d\n", slug.c_str(), count);
@@ -176,10 +220,13 @@ int main() {
               static_cast<unsigned long long>(
                   ledger.counter_value("ingress.replies")));
 
+  const bool overloaded = ledger.counter_value("ingress.refused.overload") > 0;
+  if (!overloaded) std::printf("no typed overload refusal in the ledger\n");
+
   // 6. Orderly teardown: platform first (drains the pipeline), then the
   //    ingress pair, then the network.
   (void)platform.value()->stop();
   client.value().reset();
   server.value().reset();
-  return 0;
+  return overloaded ? 0 : 1;
 }

@@ -19,7 +19,6 @@ ingress::IngressClientOptions downstream_options(const ClusterConfig& config,
   ingress::IngressClientOptions options;
   options.endpoint = config.endpoint + ".to." + std::to_string(index);
   options.reply_timeout = config.downstream_reply_timeout;
-  options.retry_budget = config.downstream_retry_budget;
   return options;
 }
 
@@ -191,7 +190,7 @@ void ClusterFrontEnd::handle_submit(const net::Message& message,
     const std::size_t primary = ring_.owner(state.session);
     const std::size_t replica = ring_.replica(state.session);
     target = primary;
-    if (config_.failover && replica != primary) state.fallback = replica;
+    if (replica != primary) state.fallback = replica;
     state.epoch = epoch_.load(std::memory_order_acquire);
 
     // Health gate: an open primary window reroutes the whole attempt to
@@ -296,7 +295,7 @@ void ClusterFrontEnd::settle_forward(Forward& state, std::size_t shard_index,
   const bool shutting_down = shutting_down_.load(std::memory_order_acquire);
   if (!shutting_down) record_health(shard_index, state.admission, !lost);
 
-  if (lost && config_.failover && !shutting_down) {
+  if (lost && !shutting_down) {
     const TimePoint now = network_->clock().now();
 
     // Pick the failover target against the CURRENT topology. A same-

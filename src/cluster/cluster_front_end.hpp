@@ -81,14 +81,10 @@ struct ClusterConfig {
                                .failure_threshold = 0.5,
                                .cooldown = std::chrono::milliseconds(200),
                                .half_open_probes = 1};
-  /// Reply budget per downstream hop before a forward counts as lost.
+  /// Reply budget per downstream hop before a forward counts as lost. A
+  /// downstream client never retries on its own: a lost forward is
+  /// re-forwarded to the replica shard once (failover).
   Duration downstream_reply_timeout = std::chrono::milliseconds(500);
-  /// Retries each downstream client performs itself before reporting
-  /// reply-lost (shard-side dedup keeps them idempotent).
-  int downstream_retry_budget = 0;
-  /// Re-forward a lost request to the replica shard once (false: report
-  /// reply-lost to the client as-is).
-  bool failover = true;
 };
 
 class ClusterFrontEnd {

@@ -30,17 +30,6 @@ const model::ModelObject* owning_spec(const model::Model& model,
   return nullptr;
 }
 
-controller::Dsc decode_dsc(const model::ModelObject& dsc_spec) {
-  controller::Dsc dsc;
-  dsc.name = dsc_spec.get_string("name");
-  dsc.kind = dsc_spec.get_string("kind", "operation") == "data"
-                 ? controller::DscKind::kData
-                 : controller::DscKind::kOperation;
-  dsc.category = dsc_spec.get_string("category");
-  dsc.description = dsc_spec.get_string("description");
-  return dsc;
-}
-
 /// The session-state envelope is a list of [key, value] pairs
 /// ([["session", s], ["version", v], ["resume", b], ["state", tree]]);
 /// find `key`.
@@ -320,40 +309,46 @@ Status ShardNode::apply_changes_locked(const model::ChangeList& changes) {
     }
   }
 
-  // Withdraw vocabulary first (a procedure and its classifier may leave
-  // together), then upsert DSCs before the procedures that validate
-  // against them.
-  controller::ControllerLayer& controller = platform_->controller();
-  for (const std::string& name : removed_procedures) {
-    (void)controller.repository().remove(name);
-  }
-  for (const std::string& name : removed_dscs) {
-    (void)controller.dscs().remove(name);
-  }
-
-  std::vector<const model::ModelObject*> touched_procedures;
+  std::vector<controller::Dsc> synced_dscs;
+  std::vector<controller::Procedure> synced_procedures;
   for (const std::string& spec_id : touched_specs) {
     const model::ModelObject* spec = replica_model_.find(spec_id);
     if (spec == nullptr) continue;  // removed later in the same delta
     if (spec->class_name() == "DscSpec") {
-      controller::Dsc dsc = decode_dsc(*spec);
-      (void)controller.dscs().remove(dsc.name);
-      MDSM_RETURN_IF_ERROR(controller.dscs().add(std::move(dsc)));
-      ++stats_.dscs_synced;
-    } else {
-      touched_procedures.push_back(spec);
+      synced_dscs.push_back(core::decode_dsc(*spec));
+      continue;
     }
-  }
-  for (const model::ModelObject* spec : touched_procedures) {
     Result<controller::Procedure> procedure =
         core::decode_procedure(replica_model_, *spec);
     if (!procedure.ok()) return procedure.status();
-    (void)controller.repository().remove(procedure.value().name);
-    MDSM_RETURN_IF_ERROR(
-        controller.add_procedure(std::move(procedure.value())));
-    ++stats_.procedures_synced;
+    synced_procedures.push_back(std::move(procedure.value()));
   }
 
+  // One catalog edit for the whole delta: concurrent generations see the
+  // vocabulary from before it or after it, never a re-synced artifact
+  // half-way through its remove and re-add. Withdraw vocabulary first (a
+  // procedure and its classifier may leave together), then upsert DSCs
+  // before the procedures that validate against them.
+  MDSM_RETURN_IF_ERROR(platform_->controller().catalog().edit(
+      [&](controller::Catalog& draft) {
+        for (const std::string& name : removed_procedures) {
+          (void)draft.remove_procedure(name);
+        }
+        for (const std::string& name : removed_dscs) {
+          (void)draft.remove_dsc(name);
+        }
+        for (controller::Dsc& dsc : synced_dscs) {
+          (void)draft.remove_dsc(dsc.name);
+          MDSM_RETURN_IF_ERROR(draft.add_dsc(std::move(dsc)));
+        }
+        for (controller::Procedure& procedure : synced_procedures) {
+          (void)draft.remove_procedure(procedure.name);
+          MDSM_RETURN_IF_ERROR(draft.add_procedure(std::move(procedure)));
+        }
+        return Status::Ok();
+      }));
+  stats_.dscs_synced += synced_dscs.size();
+  stats_.procedures_synced += synced_procedures.size();
   ++stats_.deltas_applied;
   stats_.changes_applied += changes.size();
   return Status::Ok();

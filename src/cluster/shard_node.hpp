@@ -6,11 +6,12 @@
 // model::diff ChangeLists on the "replicate/{what}" extension route —
 // the front-end ships deltas, never full model text. The node applies
 // the delta to its replica model, then re-decodes only the controller
-// artifacts the delta touched (DscSpec → DscRegistry upsert/remove,
-// ProcedureSpec → ProcedureRepository upsert/remove via
-// core::decode_procedure). The PR-3 version stamps on both registries
-// invalidate cached intent models automatically, so traffic in flight
-// during a replication never executes against a stale vocabulary.
+// artifacts the delta touched (DscSpec and ProcedureSpec upserts and
+// removals) and publishes them as one controller catalog edit. The new
+// catalog version invalidates cached intent models, and a generation in
+// flight keeps the snapshot it started on, so traffic during a
+// replication never executes against a stale or half-applied
+// vocabulary.
 #pragma once
 
 #include <cstdint>
@@ -119,8 +120,6 @@ class ShardNode {
                             const ingress::wire::Request& request);
   /// apply_changes with replica_mutex_ already held.
   Status apply_changes_locked(const model::ChangeList& changes);
-  /// Upsert/remove the DscSpec/ProcedureSpec artifacts `changes` touch.
-  Status sync_touched_artifacts(const model::ChangeList& changes);
 
   std::unique_ptr<core::Platform> platform_;
   std::unique_ptr<ingress::IngressServer> server_;

@@ -12,24 +12,15 @@ ControllerLayer::ControllerLayer(std::string name, broker::BrokerApi& broker,
       broker_(&broker),
       bus_(&bus),
       context_(&context),
-      generator_(dscs_, repository_, context, generator_config),
+      generator_(catalog_, context, generator_config),
       engine_(broker, bus, context) {
   engine_.set_metrics(&metrics_.registry());
 }
 
 Status ControllerLayer::add_procedure(Procedure procedure) {
-  if (!dscs_.contains(procedure.classifier)) {
-    return NotFound("procedure '" + procedure.name +
-                    "' classified by unknown DSC '" + procedure.classifier +
-                    "'");
-  }
-  for (const std::string& dependency : procedure.dependencies) {
-    if (!dscs_.contains(dependency)) {
-      return NotFound("procedure '" + procedure.name +
-                      "' depends on unknown DSC '" + dependency + "'");
-    }
-  }
-  return repository_.add(std::move(procedure));
+  return catalog_.edit([&](Catalog& draft) {
+    return draft.add_procedure(std::move(procedure));
+  });
 }
 
 Status ControllerLayer::register_action(ControllerAction action) {
@@ -168,7 +159,7 @@ Result<ControllerLayer::Case> ControllerLayer::classify(
   // classifications neither race each other nor churn the context
   // version the IM cache keys on.
   policy::ContextOverlay view(*context_);
-  view.bind("command.name", model::Value(command.name));
+  view.bind("command.name", command.name);
   auto decision = classification_policies_.evaluate(view);
   if (decision.has_value()) {
     if (decision->decision == "case1") return Case::kCase1;
@@ -282,11 +273,6 @@ void ControllerLayer::execute_case2(const Command& command,
     std::shared_lock lock(config_mutex_);
     auto it = command_dsc_.find(command.name);
     dsc = it != command_dsc_.end() ? it->second : command.name;
-  }
-  if (!dscs_.contains(dsc)) {
-    done(NotFound("command '" + command.name +
-                  "' resolves to unknown DSC '" + dsc + "'"));
-    return;
   }
   Result<IntentModelPtr> intent_model =
       generator_.generate_cached(dsc, selection_strategy());

@@ -23,10 +23,9 @@
 #include <vector>
 
 #include "broker/broker_api.hpp"
-#include "controller/dsc.hpp"
+#include "controller/catalog.hpp"
 #include "controller/execution_engine.hpp"
 #include "controller/intent_model.hpp"
-#include "controller/procedure.hpp"
 #include "controller/script.hpp"
 #include "obs/request_context.hpp"
 #include "policy/policy_engine.hpp"
@@ -61,10 +60,13 @@ class ControllerLayer final : public runtime::Component {
 
   // ---- configuration (domain DSK + middleware model loading)
 
+  /// The DSCs and procedures, one versioned snapshot. Edit it directly to
+  /// publish a whole vocabulary change as one version.
+  [[nodiscard]] CatalogStore& catalog() noexcept { return catalog_; }
   [[nodiscard]] DscRegistry& dscs() noexcept { return dscs_; }
 
-  /// Add a procedure, validating that its classifier and dependency DSCs
-  /// are registered (the repository itself is classifier-agnostic).
+  /// Add a procedure in one catalog edit that also checks that its
+  /// classifier and dependency DSCs are registered.
   Status add_procedure(Procedure procedure);
   [[nodiscard]] ProcedureRepository& repository() noexcept {
     return repository_;
@@ -219,8 +221,9 @@ class ControllerLayer final : public runtime::Component {
     obs::Counter& errors = registry.counter("controller.errors");
   };
   obs::MetricHandles<Counters> metrics_;
-  DscRegistry dscs_;
-  ProcedureRepository repository_;
+  CatalogStore catalog_;
+  DscRegistry dscs_{catalog_};
+  ProcedureRepository repository_{catalog_};
   IntentModelGenerator generator_;
   ExecutionEngine engine_;
   policy::PolicySet classification_policies_;

@@ -3,79 +3,24 @@
 // the DSCs serve as a mechanism to describe interfaces with implicit
 // domain-specific constraints."
 //
-// A DSC names an abstract operation (kOperation) or a datum (kData); the
-// registry is the domain's classifier vocabulary, shared by procedures
-// (which are classified by exactly one DSC) and by the intent-model
-// generator (which matches dependencies to classifiers).
-//
-// Concurrency: lookups take a shared lock so any number of request
-// threads can classify/generate in parallel; add()/remove() take the
-// exclusive lock and bump the version stamp caches key on.
+// A DSC names an abstract operation (kOperation) or a datum (kData). The
+// DSCs of a Catalog (controller/catalog.hpp) are the domain's classifier
+// vocabulary, shared by procedures (which are classified by exactly one
+// DSC) and by the intent-model generator (which matches dependencies to
+// classifiers).
 #pragma once
 
-#include <atomic>
-#include <map>
-#include <shared_mutex>
 #include <string>
-#include <vector>
-
-#include "common/status.hpp"
 
 namespace mdsm::controller {
 
 enum class DscKind { kOperation, kData };
-
-std::string_view to_string(DscKind kind) noexcept;
 
 struct Dsc {
   std::string name;
   DscKind kind = DscKind::kOperation;
   std::string category;     ///< coarse goal grouping, e.g. "media-control"
   std::string description;
-};
-
-class DscRegistry {
- public:
-  Status add(Dsc dsc);
-  /// Withdraw a classifier from the vocabulary. Procedures classified by
-  /// it stay in the repository but fail IM validation from then on.
-  Status remove(std::string_view name);
-  /// Pointer into the registry; stable while the DSC stays registered
-  /// (node-based map). Callers that may race with remove() should copy
-  /// what they need instead of holding the pointer.
-  [[nodiscard]] const Dsc* find(std::string_view name) const;
-  [[nodiscard]] bool contains(std::string_view name) const {
-    return find(name) != nullptr;
-  }
-  [[nodiscard]] std::size_t size() const;
-
-  /// Monotone counter bumped on every successful add()/remove() — lets
-  /// the IM cache detect vocabulary drift the same way it tracks context
-  /// and repository versions.
-  [[nodiscard]] std::uint64_t version() const noexcept {
-    return version_.load(std::memory_order_acquire);
-  }
-
-  /// Visit every DSC in name order without materializing a copy. Runs
-  /// under the registry's shared lock: the visitor must not call
-  /// mutating registry methods (self-deadlock) and should be cheap.
-  template <typename Visitor>
-  void for_each(Visitor&& visit) const {
-    std::shared_lock lock(mutex_);
-    for (const auto& [name, dsc] : dscs_) visit(dsc);
-  }
-
-  /// All classifier names in a category, sorted.
-  [[nodiscard]] std::vector<std::string> in_category(
-      std::string_view category) const;
-
-  /// All names, sorted.
-  [[nodiscard]] std::vector<std::string> names() const;
-
- private:
-  mutable std::shared_mutex mutex_;
-  std::map<std::string, Dsc, std::less<>> dscs_;
-  std::atomic<std::uint64_t> version_{0};
 };
 
 }  // namespace mdsm::controller

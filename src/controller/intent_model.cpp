@@ -50,17 +50,14 @@ std::string IntentModel::to_text() const {
 }
 
 IntentModelGenerator::IntentModelGenerator(
-    const DscRegistry& dscs, const ProcedureRepository& repository,
-    const policy::ContextStore& context, GeneratorConfig config)
-    : dscs_(&dscs),
-      repository_(&repository),
-      context_(&context),
-      config_(config) {}
+    const CatalogStore& catalog, const policy::ContextStore& context,
+    GeneratorConfig config)
+    : catalog_(&catalog), context_(&context), config_(config) {}
 
 void IntentModelGenerator::enumerate(
-    std::string_view dsc, std::vector<std::string_view>& path,
-    std::vector<std::unique_ptr<IntentModelNode>>& out,
-    std::vector<ProcedurePtr>& pins, std::size_t bound) {
+    const Catalog& catalog, std::string_view dsc,
+    std::vector<std::string_view>& path,
+    std::vector<std::unique_ptr<IntentModelNode>>& out, std::size_t bound) {
   if (out.size() >= bound) return;
   if (path.size() >= config_.max_depth) return;
   if (std::find(path.begin(), path.end(), dsc) != path.end()) {
@@ -68,11 +65,7 @@ void IntentModelGenerator::enumerate(
     return;
   }
   path.push_back(dsc);
-  // Snapshot (not visit-in-place): the shared lock is released before
-  // the recursion below, and the pins keep every candidate alive for the
-  // lifetime of the IM even if remove() races with generation.
-  std::vector<ProcedurePtr> candidates = repository_->classified_by_pinned(dsc);
-  for (const ProcedurePtr& candidate : candidates) {
+  for (const ProcedurePtr& candidate : catalog.candidates_for(dsc)) {
     if (out.size() >= bound) break;
     Result<bool> applicable = candidate->guard.evaluate_bool(*context_);
     if (!applicable.ok() || !*applicable) {
@@ -91,7 +84,7 @@ void IntentModelGenerator::enumerate(
     bool feasible = true;
     for (const std::string& dependency : candidate->dependencies) {
       std::vector<std::unique_ptr<IntentModelNode>> dep_options;
-      enumerate(dependency, path, dep_options, pins, bound);
+      enumerate(catalog, dependency, path, dep_options, bound);
       if (dep_options.empty()) {
         feasible = false;
         break;
@@ -120,16 +113,15 @@ void IntentModelGenerator::enumerate(
       if (position == indices.size()) break;  // odometer wrapped: done
     }
   }
-  pins.insert(pins.end(), std::make_move_iterator(candidates.begin()),
-              std::make_move_iterator(candidates.end()));
   path.pop_back();
 }
 
 Status IntentModelGenerator::validate_node(
-    const IntentModelNode& node, std::vector<std::string_view>& path) const {
+    const Catalog& catalog, const IntentModelNode& node,
+    std::vector<std::string_view>& path) const {
   if (node.procedure == nullptr) return Internal("IM node without procedure");
   const Procedure& procedure = *node.procedure;
-  if (!dscs_->contains(procedure.classifier)) {
+  if (!catalog.has_dsc(procedure.classifier)) {
     return ConformanceError("IM uses unknown DSC '" + procedure.classifier +
                             "'");
   }
@@ -160,7 +152,7 @@ Status IntentModelGenerator::validate_node(
           "' must be classified by '" + procedure.dependencies[i] +
           "', got '" + child.procedure->classifier + "'");
     }
-    Status status = validate_node(child, path);
+    Status status = validate_node(catalog, child, path);
     if (!status.ok()) {
       path.pop_back();
       return status;
@@ -171,6 +163,11 @@ Status IntentModelGenerator::validate_node(
 }
 
 Status IntentModelGenerator::validate(const IntentModel& intent_model) const {
+  return validate(*catalog_->snapshot(), intent_model);
+}
+
+Status IntentModelGenerator::validate(const Catalog& catalog,
+                                      const IntentModel& intent_model) const {
   if (intent_model.root == nullptr) return Internal("IM without root");
   if (intent_model.root->procedure->classifier != intent_model.root_dsc) {
     return ConformanceError("IM root classified by '" +
@@ -179,23 +176,22 @@ Status IntentModelGenerator::validate(const IntentModel& intent_model) const {
                             "'");
   }
   std::vector<std::string_view> path;
-  return validate_node(*intent_model.root, path);
+  return validate_node(catalog, *intent_model.root, path);
 }
 
 Result<IntentModelPtr> IntentModelGenerator::generate(
     std::string_view root_dsc, SelectionStrategy strategy) {
-  // Stamp the registry before the first read: a remove() racing this
-  // generation makes validation fail with "unknown DSC", and the stamp
-  // lets that surface as the removal it is (below).
-  const std::uint64_t dsc_version = dscs_->version();
-  if (!dscs_->contains(root_dsc)) {
+  // Every step below reads this one snapshot, so an edit published
+  // meanwhile cannot land inside the generation.
+  CatalogPtr catalog = catalog_->snapshot();
+  if (!catalog->has_dsc(root_dsc)) {
     return NotFound("unknown DSC '" + std::string(root_dsc) + "'");
   }
   // Generation.
   std::vector<std::unique_ptr<IntentModelNode>> configurations;
   std::vector<std::string_view> path;
-  std::vector<ProcedurePtr> pins;
-  enumerate(root_dsc, path, configurations, pins, config_.max_configurations);
+  enumerate(*catalog, root_dsc, path, configurations,
+            config_.max_configurations);
   stats_.generated.fetch_add(configurations.size(),
                              std::memory_order_relaxed);
   if (configurations.empty()) {
@@ -216,7 +212,7 @@ Result<IntentModelPtr> IntentModelGenerator::generate(
   probe.root_dsc.assign(root_dsc);
   for (auto& configuration : configurations) {
     probe.root = std::move(configuration);
-    if (validate(probe).ok()) {
+    if (validate(*catalog, probe).ok()) {
       stats_.validated.fetch_add(1, std::memory_order_relaxed);
       double cost = 0.0;
       double quality = 1e300;
@@ -227,10 +223,6 @@ Result<IntentModelPtr> IntentModelGenerator::generate(
     }
   }
   if (valid.empty()) {
-    if (dscs_->version() != dsc_version) {
-      return NotFound("DSC registry changed while generating for '" +
-                      std::string(root_dsc) + "'");
-    }
     return FailedPrecondition("no configuration for DSC '" +
                               std::string(root_dsc) +
                               "' survived validation");
@@ -260,26 +252,25 @@ Result<IntentModelPtr> IntentModelGenerator::generate(
   intent_model->total_cost = valid[best].cost;
   intent_model->total_quality = valid[best].quality;
   intent_model->node_count = valid[best].count;
-  intent_model->pinned = std::move(pins);
+  intent_model->catalog = std::move(catalog);
   return IntentModelPtr(intent_model);
 }
 
 Result<IntentModelPtr> IntentModelGenerator::generate_cached(
     std::string_view root_dsc, SelectionStrategy strategy) {
-  // Capture versions *before* the lookup/generation: a concurrent
-  // mutation during generation then makes the stored entry stale (a
-  // spurious re-generate next time), never a stale serve.
+  // Capture the context version *before* generation: a context change
+  // during generation then makes the stored entry stale (a spurious
+  // re-generate next time), never a stale serve. The catalog version
+  // stored is the one the IM was built from.
   const std::uint64_t context_version = context_->version();
-  const std::uint64_t repository_version = repository_->version();
-  const std::uint64_t dsc_version = dscs_->version();
+  const std::uint64_t catalog_version = catalog_->version();
   CacheShard& shard = shard_for(root_dsc);
   {
     std::lock_guard lock(shard.mutex);
     auto it = shard.entries.find(root_dsc);
     if (it != shard.entries.end() &&
+        it->second.catalog_version == catalog_version &&
         it->second.context_version == context_version &&
-        it->second.repository_version == repository_version &&
-        it->second.dsc_version == dsc_version &&
         it->second.strategy == strategy) {
       stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
       return it->second.intent_model;
@@ -296,8 +287,8 @@ Result<IntentModelPtr> IntentModelGenerator::generate_cached(
     if (it == shard.entries.end()) {
       it = shard.entries.emplace(std::string(root_dsc), CacheEntry{}).first;
     }
-    it->second = CacheEntry{context_version, repository_version, dsc_version,
-                            strategy, generated.value()};
+    it->second = CacheEntry{generated.value()->catalog->version,
+                            context_version, strategy, generated.value()};
   }
   return generated;
 }

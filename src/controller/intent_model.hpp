@@ -9,10 +9,11 @@
 // tree is generated."
 //
 // The full generation cycle is generation → validation → selection
-// (Exp-3 times exactly this cycle); a context/repository-versioned cache
-// provides the warm path whose amortized cost the paper reports
-// approaching ~1 ms. The cache is sharded by root-DSC hash so concurrent
-// requests for different operations never contend on one lock.
+// (Exp-3 times exactly this cycle), all of it against one catalog
+// snapshot; a cache keyed on the catalog and context versions provides
+// the warm path whose amortized cost the paper reports approaching ~1 ms.
+// The cache is sharded by root-DSC hash so concurrent requests for
+// different operations never contend on one lock.
 #pragma once
 
 #include <array>
@@ -24,8 +25,7 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "controller/dsc.hpp"
-#include "controller/procedure.hpp"
+#include "controller/catalog.hpp"
 #include "policy/context.hpp"
 #include "policy/policy_engine.hpp"
 
@@ -45,10 +45,10 @@ struct IntentModel {
   double total_cost = 0.0;
   double total_quality = 0.0;
   int node_count = 0;
-  /// Ownership anchors for every procedure the tree's raw pointers may
-  /// reference: a concurrent ProcedureRepository::remove() cannot free a
-  /// procedure out from under a cached or in-flight IM.
-  std::vector<ProcedurePtr> pinned;
+  /// The snapshot the IM was built from. It owns every procedure the
+  /// tree's raw pointers reference, so no later edit can free one out
+  /// from under a cached or in-flight IM.
+  CatalogPtr catalog;
 
   [[nodiscard]] std::string to_text() const;  ///< indented tree, for logs
 };
@@ -80,26 +80,29 @@ struct GeneratorStats {
 /// corruption — and last-writer-wins on the entry).
 class IntentModelGenerator {
  public:
-  IntentModelGenerator(const DscRegistry& dscs,
-                       const ProcedureRepository& repository,
+  IntentModelGenerator(const CatalogStore& catalog,
                        const policy::ContextStore& context,
                        GeneratorConfig config = {});
 
-  /// Full cycle: enumerate valid configurations for `root_dsc`, validate
-  /// each, select per `strategy`. Does not consult the cache.
+  /// Full cycle against one catalog snapshot: enumerate valid
+  /// configurations for `root_dsc`, validate each, select per
+  /// `strategy`. Does not consult the cache. kNotFound when the snapshot
+  /// has no DSC `root_dsc`.
   Result<IntentModelPtr> generate(std::string_view root_dsc,
                                   SelectionStrategy strategy);
 
-  /// Cached cycle: reuse the previous IM for `root_dsc` when none of the
-  /// context, the repository, or the DSC vocabulary changed since it was
-  /// generated (a stale-vocabulary IM would fail validate()). Versions
-  /// are captured *before* generation, so a mutation racing a miss can
-  /// only make the stored entry look stale — never serve a stale IM.
+  /// Cached cycle: reuse the previous IM for `root_dsc` when neither the
+  /// catalog nor the context changed since it was generated. An entry
+  /// records the version of the catalog its IM was built from and the
+  /// context version captured *before* generation, so a context change
+  /// racing a miss can only make the entry look stale — never serve a
+  /// stale IM.
   Result<IntentModelPtr> generate_cached(std::string_view root_dsc,
                                          SelectionStrategy strategy);
 
-  /// Structural re-validation of an IM against the current context:
-  /// guards hold, dependencies complete, no DSC repeats along any path.
+  /// Structural re-validation of an IM against the current catalog and
+  /// context: DSCs known, guards hold, dependencies complete, no DSC
+  /// repeats along any path.
   Status validate(const IntentModel& intent_model) const;
 
   void invalidate_cache();
@@ -111,9 +114,8 @@ class IntentModelGenerator {
 
  private:
   struct CacheEntry {
+    std::uint64_t catalog_version;
     std::uint64_t context_version;
-    std::uint64_t repository_version;
-    std::uint64_t dsc_version;
     SelectionStrategy strategy;
     IntentModelPtr intent_model;
   };
@@ -129,20 +131,21 @@ class IntentModelGenerator {
     return cache_[std::hash<std::string_view>{}(root_dsc) % kCacheShards];
   }
 
-  /// Recursively enumerate configurations rooted at candidates of `dsc`.
-  /// `path` carries the DSCs on the current root-to-leaf chain for cycle
-  /// avoidance (views into strings owned by `pins`/the caller). Appends
-  /// complete subtrees to `out` (bounded) and the candidate snapshots to
-  /// `pins` so node pointers stay valid past concurrent removes.
-  void enumerate(std::string_view dsc, std::vector<std::string_view>& path,
+  /// Recursively enumerate configurations rooted at candidates of `dsc`
+  /// in `catalog`. `path` carries the DSCs on the current root-to-leaf
+  /// chain for cycle avoidance (views into strings owned by `catalog` or
+  /// the caller). Appends complete subtrees to `out` (bounded).
+  void enumerate(const Catalog& catalog, std::string_view dsc,
+                 std::vector<std::string_view>& path,
                  std::vector<std::unique_ptr<IntentModelNode>>& out,
-                 std::vector<ProcedurePtr>& pins, std::size_t bound);
+                 std::size_t bound);
 
-  Status validate_node(const IntentModelNode& node,
+  Status validate(const Catalog& catalog,
+                  const IntentModel& intent_model) const;
+  Status validate_node(const Catalog& catalog, const IntentModelNode& node,
                        std::vector<std::string_view>& path) const;
 
-  const DscRegistry* dscs_;
-  const ProcedureRepository* repository_;
+  const CatalogStore* catalog_;
   const policy::ContextStore* context_;
   GeneratorConfig config_;
   /// Backs stats(); these counts have no registry twin.

@@ -1,8 +1,5 @@
-#include <mutex>
-
 #include "controller/procedure.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace mdsm::controller {
@@ -21,97 +18,6 @@ std::string_view to_string(OpCode op) noexcept {
     case OpCode::kNoop: return "noop";
   }
   return "?";
-}
-
-Status ProcedureRepository::add(Procedure procedure) {
-  if (procedure.name.empty() || procedure.classifier.empty()) {
-    return InvalidArgument("procedure needs a name and a classifier");
-  }
-  // Paper constraint: a procedure must not depend on its own classifier
-  // (the generator also guards against indirect cycles).
-  for (const std::string& dependency : procedure.dependencies) {
-    if (dependency == procedure.classifier) {
-      return InvalidArgument("procedure '" + procedure.name +
-                             "' depends on its own classifier '" +
-                             dependency + "'");
-    }
-  }
-  const std::string name = procedure.name;
-  const std::string classifier = procedure.classifier;
-  auto shared = std::make_shared<const Procedure>(std::move(procedure));
-  std::unique_lock lock(mutex_);
-  auto [it, inserted] = procedures_.emplace(name, std::move(shared));
-  if (!inserted) {
-    return AlreadyExists("procedure '" + name + "' already in repository");
-  }
-  order_.push_back(name);
-  by_classifier_[classifier].push_back(it->second);
-  version_.fetch_add(1, std::memory_order_release);
-  return Status::Ok();
-}
-
-Status ProcedureRepository::remove(const std::string& name) {
-  std::unique_lock lock(mutex_);
-  auto it = procedures_.find(name);
-  if (it == procedures_.end()) {
-    return NotFound("procedure '" + name + "' not in repository");
-  }
-  auto& bucket = by_classifier_[it->second->classifier];
-  bucket.erase(std::remove_if(bucket.begin(), bucket.end(),
-                              [&](const ProcedurePtr& procedure) {
-                                return procedure->name == name;
-                              }),
-               bucket.end());
-  procedures_.erase(it);
-  order_.erase(std::remove(order_.begin(), order_.end(), name), order_.end());
-  version_.fetch_add(1, std::memory_order_release);
-  return Status::Ok();
-}
-
-const Procedure* ProcedureRepository::find(std::string_view name) const {
-  std::shared_lock lock(mutex_);
-  auto it = procedures_.find(name);
-  return it == procedures_.end() ? nullptr : it->second.get();
-}
-
-ProcedurePtr ProcedureRepository::find_shared(std::string_view name) const {
-  std::shared_lock lock(mutex_);
-  auto it = procedures_.find(name);
-  return it == procedures_.end() ? nullptr : it->second;
-}
-
-std::vector<const Procedure*> ProcedureRepository::classified_by(
-    std::string_view dsc) const {
-  std::vector<const Procedure*> out;
-  std::shared_lock lock(mutex_);
-  auto it = by_classifier_.find(dsc);
-  if (it == by_classifier_.end()) return out;
-  out.reserve(it->second.size());
-  for (const ProcedurePtr& procedure : it->second) {
-    out.push_back(procedure.get());
-  }
-  return out;
-}
-
-std::vector<ProcedurePtr> ProcedureRepository::classified_by_pinned(
-    std::string_view dsc) const {
-  std::shared_lock lock(mutex_);
-  auto it = by_classifier_.find(dsc);
-  if (it == by_classifier_.end()) return {};
-  return it->second;
-}
-
-std::size_t ProcedureRepository::size() const {
-  std::shared_lock lock(mutex_);
-  return order_.size();
-}
-
-void ProcedureRepository::clear() {
-  std::unique_lock lock(mutex_);
-  procedures_.clear();
-  order_.clear();
-  by_classifier_.clear();
-  version_.fetch_add(1, std::memory_order_release);
 }
 
 namespace {

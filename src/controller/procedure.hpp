@@ -11,10 +11,7 @@
 // Broker layer.
 #pragma once
 
-#include <atomic>
-#include <map>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -65,74 +62,9 @@ struct Procedure {
   std::vector<ExecutionUnit> units;  ///< executed in order
 };
 
-/// Shared ownership of an immutable procedure: intent models pin the
-/// procedures they reference so a concurrent remove() cannot free a
-/// procedure out from under an in-flight or cached model.
+/// Shared ownership of an immutable procedure: catalog versions share the
+/// procedures they have in common.
 using ProcedurePtr = std::shared_ptr<const Procedure>;
-
-/// The Controller's procedure repository: "the Controller's repository
-/// was populated with metadata of 100 curated procedures" (paper §VII-B).
-///
-/// Concurrency: procedures are immutable once added; the repository maps
-/// are guarded by a reader/writer lock so IM generation on many request
-/// threads proceeds in parallel with each other and blocks only on the
-/// rare add()/remove().
-class ProcedureRepository {
- public:
-  /// Register a procedure; the classifier and all dependency names are
-  /// validated against `known_dscs` if non-null at add time by the layer.
-  Status add(Procedure procedure);
-  Status remove(const std::string& name);
-
-  /// Borrowed pointer. Stable only while the procedure stays registered;
-  /// prefer find_shared() on paths that may race with remove().
-  [[nodiscard]] const Procedure* find(std::string_view name) const;
-
-  /// Owning lookup: keeps the procedure alive past a concurrent remove().
-  [[nodiscard]] ProcedurePtr find_shared(std::string_view name) const;
-
-  /// All procedures classified by `dsc`, in registration order —
-  /// the candidate set for intent-model generation. Borrowed pointers;
-  /// see find() for the lifetime caveat.
-  [[nodiscard]] std::vector<const Procedure*> classified_by(
-      std::string_view dsc) const;
-
-  /// Owning snapshot of the candidate set for `dsc`. The shared lock is
-  /// released before returning, so callers may recurse back into the
-  /// repository (IM enumeration does) without re-entrant locking.
-  [[nodiscard]] std::vector<ProcedurePtr> classified_by_pinned(
-      std::string_view dsc) const;
-
-  /// Visit each candidate for `dsc` in registration order without
-  /// materializing a vector. Runs under the shared lock: the visitor
-  /// must not mutate the repository and must not recurse into locked
-  /// repository methods.
-  template <typename Visitor>
-  void for_each_classified_by(std::string_view dsc, Visitor&& visit) const {
-    std::shared_lock lock(mutex_);
-    auto it = by_classifier_.find(dsc);
-    if (it == by_classifier_.end()) return;
-    for (const ProcedurePtr& procedure : it->second) visit(*procedure);
-  }
-
-  [[nodiscard]] std::size_t size() const;
-
-  /// Monotone version bumped on every mutation (IM cache invalidation).
-  [[nodiscard]] std::uint64_t version() const noexcept {
-    return version_.load(std::memory_order_acquire);
-  }
-
-  void clear();
-
- private:
-  mutable std::shared_mutex mutex_;
-  std::map<std::string, ProcedurePtr, std::less<>> procedures_;
-  std::vector<std::string> order_;
-  /// Candidates per classifier, registration order (shared with
-  /// procedures_ — cheap pointer copies on snapshot).
-  std::map<std::string, std::vector<ProcedurePtr>, std::less<>> by_classifier_;
-  std::atomic<std::uint64_t> version_{0};
-};
 
 /// Builders mirroring broker/action.hpp, for terse domain DSK code.
 Instruction broker_call(std::string operation, broker::Args args = {});

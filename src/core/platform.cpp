@@ -297,25 +297,26 @@ Status Platform::load_broker_spec(const model::Model& middleware_model,
 Status Platform::load_controller_spec(
     const model::Model& middleware_model,
     const model::ModelObject& controller_spec) {
-  for (const model::ModelObject* dsc_spec :
-       middleware_model.children(controller_spec.id(), "dscs")) {
-    controller::Dsc dsc;
-    dsc.name = dsc_spec->get_string("name");
-    dsc.kind = dsc_spec->get_string("kind", "operation") == "data"
-                   ? controller::DscKind::kData
-                   : controller::DscKind::kOperation;
-    dsc.category = dsc_spec->get_string("category");
-    dsc.description = dsc_spec->get_string("description");
-    MDSM_RETURN_IF_ERROR(controller_->dscs().add(std::move(dsc)));
-  }
+  // The whole vocabulary is published as one catalog version.
+  std::vector<controller::Procedure> procedures;
   for (const model::ModelObject* procedure_spec :
        middleware_model.children(controller_spec.id(), "procedures")) {
     Result<controller::Procedure> procedure =
         decode_procedure(middleware_model, *procedure_spec);
     if (!procedure.ok()) return procedure.status();
-    MDSM_RETURN_IF_ERROR(
-        controller_->add_procedure(std::move(procedure.value())));
+    procedures.push_back(std::move(procedure.value()));
   }
+  MDSM_RETURN_IF_ERROR(
+      controller_->catalog().edit([&](controller::Catalog& draft) {
+        for (const model::ModelObject* dsc_spec :
+             middleware_model.children(controller_spec.id(), "dscs")) {
+          MDSM_RETURN_IF_ERROR(draft.add_dsc(decode_dsc(*dsc_spec)));
+        }
+        for (controller::Procedure& procedure : procedures) {
+          MDSM_RETURN_IF_ERROR(draft.add_procedure(std::move(procedure)));
+        }
+        return Status::Ok();
+      }));
   for (const model::ModelObject* action_spec :
        middleware_model.children(controller_spec.id(), "actions")) {
     Result<controller::ControllerAction> action =

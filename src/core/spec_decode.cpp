@@ -180,6 +180,17 @@ Result<controller::ControllerAction> decode_controller_action(
   return action;
 }
 
+controller::Dsc decode_dsc(const model::ModelObject& dsc_spec) {
+  controller::Dsc dsc;
+  dsc.name = dsc_spec.get_string("name");
+  dsc.kind = dsc_spec.get_string("kind", "operation") == "data"
+                 ? controller::DscKind::kData
+                 : controller::DscKind::kOperation;
+  dsc.category = dsc_spec.get_string("category");
+  dsc.description = dsc_spec.get_string("description");
+  return dsc;
+}
+
 Result<controller::Procedure> decode_procedure(
     const model::Model& middleware_model,
     const model::ModelObject& procedure_spec) {

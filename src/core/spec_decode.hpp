@@ -44,6 +44,9 @@ Result<controller::ControllerAction> decode_controller_action(
     const model::Model& middleware_model,
     const model::ModelObject& action_spec);
 
+/// DscSpec → controller Dsc.
+controller::Dsc decode_dsc(const model::ModelObject& dsc_spec);
+
 /// ProcedureSpec (+units) → controller Procedure.
 Result<controller::Procedure> decode_procedure(
     const model::Model& middleware_model,

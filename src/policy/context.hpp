@@ -8,6 +8,7 @@
 #include <map>
 #include <shared_mutex>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -56,8 +57,13 @@ class ContextOverlay {
  public:
   explicit ContextOverlay(const ContextStore& base) : base_(&base) {}
 
-  void bind(std::string name, model::Value value) {
-    bindings_.emplace_back(std::move(name), std::move(value));
+  /// Bind `name` to the Value constructed from `value_args`, built in
+  /// place: no Value is moved, so no variant move is inlined here.
+  template <typename... ValueArgs>
+  void bind(std::string name, ValueArgs&&... value_args) {
+    bindings_.emplace_back(
+        std::piecewise_construct, std::forward_as_tuple(std::move(name)),
+        std::forward_as_tuple(std::forward<ValueArgs>(value_args)...));
   }
 
   [[nodiscard]] model::Value get(std::string_view name) const {

@@ -4,6 +4,7 @@
 // diff-based model replication, and the failover exactly-once ledger.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <map>
@@ -456,6 +457,65 @@ TEST(ClusterE2E, ModelDiffReplicationSyncsEveryShard) {
     std::lock_guard lock(ledger.mutex);
     EXPECT_EQ(ledger.refusals[""], 1);
   }
+  cluster->shutdown();
+}
+
+// A cost retune re-syncs the shard's only media.path procedure. A
+// generation running meanwhile must see the vocabulary from before the
+// delta or after it, never the procedure half-way through its re-sync,
+// so no case-2 generation for media.path (or for session.establish,
+// which depends on it) may fail.
+TEST(ClusterE2E, CostRetunesNeverFailConcurrentGenerations) {
+  auto cluster = make_cluster(1);
+  ASSERT_NE(cluster, nullptr);
+  controller::IntentModelGenerator& generator =
+      cluster->nodes[0]->platform().controller().generator();
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> generations{0};
+  std::mutex failures_mutex;
+  std::vector<std::string> failures;
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      for (const char* dsc : {"media.path", "session.establish"}) {
+        auto intent = generator.generate_cached(
+            dsc, controller::SelectionStrategy::kMinCost);
+        generations.fetch_add(1, std::memory_order_relaxed);
+        if (!intent.ok()) {
+          std::lock_guard lock(failures_mutex);
+          failures.push_back(intent.status().to_string());
+        }
+      }
+    }
+  });
+
+  constexpr int kRetunes = 100;
+  const std::string cost = "cost = 1.0";
+  int applied = 0;
+  for (int i = 1; i <= kRetunes; ++i) {
+    std::string text(soak::kSoakMiddlewareModel);
+    text.replace(text.find(cost), cost.size(),
+                 "cost = " + std::to_string(1.0 + i / 100.0));
+    auto next = model::parse_model(text, core::middleware_metamodel());
+    if (!next.ok() || !cluster->frontend->update_model(next.value()).ok() ||
+        !cluster->drive_until([&] {
+          return cluster->frontend->stats().replication_acks ==
+                 static_cast<std::uint64_t>(i);
+        })) {
+      break;
+    }
+    ++applied;
+  }
+  stop.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_EQ(applied, kRetunes);
+  EXPECT_EQ(cluster->nodes[0]->replication_stats().procedures_synced,
+            static_cast<std::uint64_t>(kRetunes));
+  EXPECT_GT(generations.load(), 0);
+  EXPECT_TRUE(failures.empty())
+      << failures.size() << " of " << generations.load()
+      << " generations failed, first: " << failures.front();
   cluster->shutdown();
 }
 

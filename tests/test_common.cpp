@@ -41,9 +41,9 @@ TEST(Status, AllCodesHaveNames) {
 
 TEST(Result, HoldsValue) {
   Result<int> result = 42;
+  EXPECT_TRUE(result.status().ok());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(*result, 42);
-  EXPECT_TRUE(result.status().ok());
 }
 
 TEST(Result, HoldsError) {
