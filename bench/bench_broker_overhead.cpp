@@ -10,7 +10,6 @@
 // and time only the scenario execution; report per-scenario means and
 // the average overhead. Absolute numbers are simulator-scale; the shape
 // to compare with the paper is the overhead column.
-#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -18,6 +17,7 @@
 #include "domains/comm/cvm.hpp"
 #include "domains/comm/handcrafted_broker.hpp"
 #include "domains/comm/scenarios.hpp"
+#include "harness.hpp"
 
 namespace {
 
@@ -26,11 +26,6 @@ using mdsm::Stopwatch;
 
 constexpr int kWarmup = 5;
 constexpr int kRepetitions = 60;
-
-double median(std::vector<double>& samples) {
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
-}
 
 /// Median time (µs) for the model-based broker to run `scenario`.
 double time_model_based(const mdsm::comm::Scenario& scenario) {
@@ -47,7 +42,7 @@ double time_model_based(const mdsm::comm::Scenario& scenario) {
     if (!status.ok()) return -1.0;
     if (rep >= kWarmup) samples.push_back(elapsed_us);
   }
-  return median(samples);
+  return perfbench::median(std::move(samples));
 }
 
 double time_handcrafted(const mdsm::comm::Scenario& scenario) {
@@ -62,7 +57,7 @@ double time_handcrafted(const mdsm::comm::Scenario& scenario) {
     if (!status.ok()) return -1.0;
     if (rep >= kWarmup) samples.push_back(elapsed_us);
   }
-  return median(samples);
+  return perfbench::median(std::move(samples));
 }
 
 }  // namespace

@@ -37,9 +37,12 @@
 // per session (the teardown; a cold re-run would double it) and a
 // post-failover goodput plateau >= 0.9x the pre-kill one.
 //
-// A driver thread slaves the network's SimClock to real time (as in
-// bench_ingress) and doubles as the front-end's housekeeping loop:
-// deliver_due() + frontend->maintain() + client->expire_overdue().
+// Every feed is an open loop through bench_support.hpp over
+// perfbench/harness.hpp: each request is timed from its submit call and
+// the shared ledger proves exactly-once. A WallClockPump slaves the
+// network's SimClock to real time (as in bench_ingress) and doubles as
+// the front-end's housekeeping loop: deliver_due() +
+// frontend->maintain() + client->expire_overdue().
 //
 // Output: human summary on stderr, one JSON document on stdout so
 // run_benches.sh can record the rows in BENCH_8.json.
@@ -51,11 +54,11 @@
 #include <cstring>
 #include <memory>
 #include <optional>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_support.hpp"
 #include "cluster/cluster_front_end.hpp"
 #include "cluster/shard_node.hpp"
 #include "common/clock.hpp"
@@ -63,7 +66,6 @@
 #include "core/middleware_metamodel.hpp"
 #include "core/platform.hpp"
 #include "domains/comm/cml.hpp"
-#include "domains/comm/cvm.hpp"
 #include "ingress/ingress_client.hpp"
 #include "model/text_format.hpp"
 #include "net/network.hpp"
@@ -71,37 +73,7 @@
 namespace {
 
 using namespace mdsm;
-
-/// Thread-safe stand-in for the comm services: each invocation sleeps
-/// for the configured service latency. Executions whose object id
-/// carries the resume row's "probe" prefix are counted separately —
-/// that count is the row's re-execution evidence (a resumed close is
-/// ONE teardown; a cold close re-runs the create first).
-class SimulatedCommService final : public broker::ResourceAdapter {
- public:
-  SimulatedCommService(std::string name, std::chrono::microseconds delay)
-      : ResourceAdapter(std::move(name)), delay_(delay) {}
-
-  Result<model::Value> execute(const std::string& command,
-                               const broker::Args& args) override {
-    (void)command;
-    auto it = args.find("id");
-    if (it != args.end() && it->second.is_string() &&
-        it->second.as_string().rfind("probe", 0) == 0) {
-      probe_executions_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (delay_.count() > 0) std::this_thread::sleep_for(delay_);
-    return model::Value(true);
-  }
-
-  [[nodiscard]] std::uint64_t probe_executions() const {
-    return probe_executions_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::chrono::microseconds delay_;
-  std::atomic<std::uint64_t> probe_executions_{0};
-};
+using namespace mdsm::bench;
 
 struct BenchConfig {
   int pipeline_threads_per_shard = 2;
@@ -115,30 +87,6 @@ struct BenchConfig {
   int checkpoint_interval = 0;    ///< session-state cadence attr (0: off)
   bool json_only = false;
 };
-
-/// The CVM middleware model with the PR-5 overload attributes spliced
-/// into its MiddlewarePlatform root, so overloaded shards shed with
-/// typed refusals instead of collapsing.
-std::string cluster_cvm_text(const BenchConfig& config) {
-  std::string text(comm::cvm_middleware_model_text());
-  const std::string anchor = "domain = \"communication\"";
-  std::string attrs = "\n  queue_capacity = " +
-                      std::to_string(config.queue_capacity) +
-                      "\n  overflow_policy = reject"
-                      "\n  admission = true";
-  if (config.checkpoint_interval > 0) {
-    attrs += "\n  checkpoint_interval = " +
-             std::to_string(config.checkpoint_interval);
-  }
-  text.insert(text.find(anchor) + anchor.size(), attrs);
-  return text;
-}
-
-std::string scenario_text(int rep) {
-  std::string id = "c" + std::to_string(rep);
-  return "model app_" + id + " conforms cml\nobject Connection " + id +
-         " { state = pending }\n";
-}
 
 struct Row {
   std::size_t shards = 0;
@@ -159,7 +107,7 @@ struct Row {
 };
 
 /// One assembled fleet: N ShardNodes behind a ClusterFrontEnd, plus the
-/// driver thread slaving the SimClock to real time.
+/// pump slaving the SimClock to real time.
 struct Fleet {
   SimClock sim;
   std::unique_ptr<net::Network> network;
@@ -169,25 +117,37 @@ struct Fleet {
   std::vector<SimulatedCommService*> adapters;
   std::unique_ptr<cluster::ClusterFrontEnd> frontend;
   std::unique_ptr<ingress::IngressClient> client;
+  std::optional<WallClockPump> pump;
 
-  std::thread driver;
-  std::atomic<bool> stop{false};
-  std::atomic<int> kill_shard{-1};  ///< set by the feeder; driver executes
-  // Rebalance triggers (PR 9), same pattern: the feeder flags them, the
-  // driver performs them between delivery batches.
+  // Mid-feed topology changes: the feeder flags them, the pump performs
+  // them between delivery batches.
+  std::atomic<int> kill_shard{-1};
   std::atomic<bool> join_spare{false};
   std::atomic<int> leave_shard{-1};
   std::string spare_endpoint;  ///< pre-launched node outside the ring
 
   ~Fleet() {
-    if (driver.joinable()) {
-      stop.store(true, std::memory_order_release);
-      driver.join();
-    }
+    pump.reset();
     client.reset();
     frontend.reset();
     nodes.clear();
     network.reset();
+  }
+
+  /// One pump lap: execute a flagged kill/join/leave (so the endpoint
+  /// unbind never races a delivery), then the front-end's forward-expiry
+  /// housekeeping and the client's.
+  void lap() {
+    const int victim = kill_shard.exchange(-1, std::memory_order_acq_rel);
+    if (victim >= 0) nodes[static_cast<std::size_t>(victim)]->kill();
+    if (join_spare.exchange(false, std::memory_order_acq_rel) &&
+        !spare_endpoint.empty()) {
+      (void)frontend->join(spare_endpoint);
+    }
+    const int leaver = leave_shard.exchange(-1, std::memory_order_acq_rel);
+    if (leaver >= 0) (void)frontend->leave(static_cast<std::size_t>(leaver));
+    frontend->maintain();
+    client->expire_overdue();
   }
 };
 
@@ -196,8 +156,9 @@ Result<std::unique_ptr<Fleet>> make_fleet(
     cluster::ClusterConfig cluster_config = {},
     std::size_t spare_nodes = 0) {
   auto fleet = std::make_unique<Fleet>();
-  auto parsed = model::parse_model(cluster_cvm_text(config),
-                                   core::middleware_metamodel());
+  auto parsed = model::parse_model(
+      overload_cvm_text(config.queue_capacity, config.checkpoint_interval),
+      core::middleware_metamodel());
   if (!parsed.ok()) return parsed.status();
   fleet->middleware.emplace(std::move(parsed.value()));
 
@@ -248,92 +209,101 @@ Result<std::unique_ptr<Fleet>> make_fleet(
   if (!client.ok()) return client.status();
   fleet->client = std::move(client.value());
 
-  // The driver slaves the SimClock to real time, pumps deliveries, runs
-  // the front-end's forward-expiry housekeeping and the client's, and
-  // executes a requested shard kill between delivery batches (so the
-  // endpoint unbind never races a delivery).
-  fleet->driver = std::thread([f = fleet.get()] {
-    const auto origin = std::chrono::steady_clock::now();
-    Duration advanced{0};
-    while (!f->stop.load(std::memory_order_acquire)) {
-      const auto target = std::chrono::duration_cast<Duration>(
-          std::chrono::steady_clock::now() - origin);
-      if (target > advanced) {
-        f->sim.advance(target - advanced);
-        advanced = target;
-      }
-      f->network->deliver_due();
-      const int victim = f->kill_shard.exchange(-1, std::memory_order_acq_rel);
-      if (victim >= 0) f->nodes[static_cast<std::size_t>(victim)]->kill();
-      if (f->join_spare.exchange(false, std::memory_order_acq_rel) &&
-          !f->spare_endpoint.empty()) {
-        (void)f->frontend->join(f->spare_endpoint);
-      }
-      const int leaver =
-          f->leave_shard.exchange(-1, std::memory_order_acq_rel);
-      if (leaver >= 0) {
-        (void)f->frontend->leave(static_cast<std::size_t>(leaver));
-      }
-      f->frontend->maintain();
-      f->client->expire_overdue();
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-    // Final drain: let every in-flight message and reply land.
-    f->sim.advance(std::chrono::seconds(2));
-    f->network->run_until_idle();
-    f->frontend->maintain();
-    f->client->expire_overdue();
-  });
+  fleet->pump.emplace(fleet->sim, *fleet->network,
+                      [f = fleet.get()] { f->lap(); });
   return fleet;
 }
 
-/// Per-step ledger: outcome counts, latency percentiles, and the
-/// per-request fire counter that proves exactly-once callbacks.
-struct Ledger {
-  explicit Ledger(std::size_t total) : fires(total) {}
-
-  std::mutex mutex;
-  std::uint64_t completed_ok = 0;
-  std::uint64_t refused = 0;
-  std::uint64_t lost = 0;
-  std::vector<double> ok_latencies_us;
-  std::vector<std::atomic<std::uint32_t>> fires;
-  std::atomic<int> outstanding{0};
-
-  void resolve(std::size_t index, const ingress::RemoteOutcome& outcome,
-               double latency_us) {
-    if (fires[index].fetch_add(1, std::memory_order_relaxed) == 0) {
-      outstanding.fetch_sub(1, std::memory_order_relaxed);
-    }
-    std::lock_guard lock(mutex);
-    if (outcome.status.ok()) {
-      ++completed_ok;
-      ok_latencies_us.push_back(latency_us);
-    } else if (outcome.refusal == "reply-lost") {
-      ++lost;
-    } else {
-      ++refused;
-    }
+/// One open-loop feed through a fleet's client, counted by the shared
+/// ledger. A "reply-lost" refusal (a client-side expiry) is tallied
+/// apart from typed refusals; like the ledger's outcome, it is read
+/// from each request's first callback only, so a duplicate callback
+/// never counts twice.
+class ClusterFeed {
+ public:
+  ClusterFeed(const BenchConfig& config, double offered_rps,
+              std::size_t total)
+      : total_(total),
+        ledger_(total, std::chrono::milliseconds(config.deadline_ms)),
+        schedule_(BenchClock::now(), offered_rps),
+        first_refusal_(std::make_unique<std::atomic<std::uint8_t>[]>(total)) {
+    options_.deadline = std::chrono::milliseconds(config.deadline_ms);
   }
 
-  void finalize(Row& row, double elapsed_s) {
-    row.completed_ok = completed_ok;
-    row.refused = refused;
+  /// Send every request, `before_send(i)` just ahead of request i (the
+  /// mid-feed kill/join/leave triggers), then wait until each resolved
+  /// or kSettleTimeout passed. Returns the seconds from the first send
+  /// to then.
+  template <class Hook>
+  double run(Fleet& fleet, Hook before_send) {
+    sent_ = feed_open_loop(
+        ledger_, schedule_, total_, [&](std::size_t i, std::size_t entry) {
+          before_send(i);
+          return fleet.client
+              ->submit("cml", "s" + std::to_string(i), scenario_text(i),
+                       [this, entry](const ingress::RemoteOutcome& outcome) {
+                         std::uint8_t unset = kUnset;
+                         first_refusal_[entry].compare_exchange_strong(
+                             unset, outcome.refusal == "reply-lost"
+                                        ? kReplyLost
+                                        : kOther);
+                         resolve_now(ledger_, entry, outcome.status.ok());
+                       },
+                       options_)
+              .ok();
+        });
+    (void)ledger_.wait_settled(kSettleTimeout);
+    return perfbench::to_s(BenchClock::now() - schedule_.start());
+  }
+
+  /// Outcome counts into any row with the ledger fields.
+  template <class R>
+  void tally(R& row) const {
+    const Ledger::Summary summary = ledger_.summarize();
+    std::uint64_t lost = 0;
+    for (std::size_t i = 0; i < summary.attempted; ++i) {
+      if (first_refusal_[i].load(std::memory_order_acquire) == kReplyLost &&
+          !ledger_.ok_latency_ms(i).has_value()) {
+        ++lost;
+      }
+    }
+    row.submitted = summary.attempted;
+    row.completed_ok = summary.ok + summary.late_ok;
     row.lost = lost;
-    row.goodput_rps =
-        elapsed_s > 0.0 ? static_cast<double>(completed_ok) / elapsed_s : 0.0;
-    std::sort(ok_latencies_us.begin(), ok_latencies_us.end());
-    if (!ok_latencies_us.empty()) {
-      row.p50_us = ok_latencies_us[ok_latencies_us.size() / 2];
-      row.p99_us = ok_latencies_us[std::min(
-          ok_latencies_us.size() - 1, ok_latencies_us.size() * 99 / 100)];
-    }
-    for (const auto& count : fires) {
-      const std::uint32_t fired = count.load(std::memory_order_relaxed);
-      if (fired == 0) ++row.unresolved;
-      if (fired > 1) ++row.duplicate_callbacks;
-    }
+    row.refused = summary.failed + summary.refused - lost;
+    row.duplicate_callbacks =
+        summary.duplicates + summary.resolved_after_refusal;
+    row.unresolved = summary.unresolved;
   }
+
+  [[nodiscard]] OkLatency latency() const { return ok_latency(ledger_); }
+
+  /// Ok replies per second that landed in [begin_s, end_s) after the
+  /// first send.
+  [[nodiscard]] double window_goodput(double begin_s, double end_s) const {
+    if (end_s <= begin_s) return 0.0;
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < sent_.size(); ++i) {
+      const auto latency_ms = ledger_.ok_latency_ms(i);
+      if (!latency_ms.has_value()) continue;
+      const double at_s = perfbench::to_s(sent_[i] - schedule_.start()) +
+                          *latency_ms / 1000.0;
+      if (at_s >= begin_s && at_s < end_s) ++count;
+    }
+    return static_cast<double>(count) / (end_s - begin_s);
+  }
+
+ private:
+  static constexpr std::uint8_t kUnset = 0;
+  static constexpr std::uint8_t kReplyLost = 1;
+  static constexpr std::uint8_t kOther = 2;
+
+  std::size_t total_;
+  Ledger ledger_;
+  OpenLoopSchedule schedule_;
+  std::unique_ptr<std::atomic<std::uint8_t>[]> first_refusal_;
+  ingress::RemoteSubmitOptions options_;
+  std::vector<BenchClock::time_point> sent_;
 };
 
 /// Offer `multiplier` x fleet capacity for one step; optionally kill
@@ -353,66 +323,34 @@ Result<Row> run_step(const BenchConfig& config, std::size_t shards,
   auto fleet = make_fleet(config, shards, std::move(cluster_config));
   if (!fleet.ok()) return fleet.status();
 
-  const double offered_rps =
-      multiplier * shard_capacity_rps * static_cast<double>(shards);
-  const auto interval =
-      std::chrono::nanoseconds(static_cast<std::int64_t>(1e9 / offered_rps));
-  const int total = static_cast<int>(offered_rps * config.seconds_per_step);
-
   Row row;
   row.shards = shards;
-  row.offered_rps = offered_rps;
-  Ledger ledger(static_cast<std::size_t>(total));
-  ledger.ok_latencies_us.reserve(static_cast<std::size_t>(total));
-  ingress::RemoteSubmitOptions options;
-  options.deadline = std::chrono::milliseconds(config.deadline_ms);
-
-  const auto start = std::chrono::steady_clock::now();
-  auto next_at = start;
-  for (int r = 0; r < total; ++r) {
-    std::this_thread::sleep_until(next_at);
-    next_at += interval;
-    if (kill_shard >= 0 && r == total / 2) {
-      fleet.value()->kill_shard.store(kill_shard, std::memory_order_release);
-    }
-    const auto enqueued = std::chrono::steady_clock::now();
-    ++row.submitted;
-    ledger.outstanding.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t index = static_cast<std::size_t>(r);
-    auto submitted = fleet.value()->client->submit(
-        "cml", "s" + std::to_string(r), scenario_text(r),
-        [&ledger, index, enqueued](const ingress::RemoteOutcome& outcome) {
-          ledger.resolve(index, outcome,
-                         std::chrono::duration<double, std::micro>(
-                             std::chrono::steady_clock::now() - enqueued)
-                             .count());
-        },
-        options);
-    if (!submitted.ok()) {
-      ingress::RemoteOutcome failed;
-      failed.status = submitted.status();
-      ledger.resolve(index, failed, 0.0);
-    }
-  }
+  row.offered_rps =
+      multiplier * shard_capacity_rps * static_cast<double>(shards);
+  const auto total =
+      static_cast<std::size_t>(row.offered_rps * config.seconds_per_step);
   // Every request resolves: success reply, typed refusal reply, or (only
   // after a shard death) a failover re-run or reply-lost expiry.
-  const auto wall_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (ledger.outstanding.load(std::memory_order_relaxed) != 0 &&
-         std::chrono::steady_clock::now() < wall_deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  const double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  ClusterFeed feed(config, row.offered_rps, total);
+  const double elapsed_s = feed.run(*fleet.value(), [&](std::size_t i) {
+    if (kill_shard >= 0 && i == total / 2) {
+      fleet.value()->kill_shard.store(kill_shard, std::memory_order_release);
+    }
+  });
 
   const cluster::ClusterFrontEnd::Stats frontend_stats =
       fleet.value()->frontend->stats();
   row.failovers = frontend_stats.failovers;
   row.rerouted = frontend_stats.rerouted;
   row.breaker_trips = frontend_stats.breaker_trips;
-  fleet.value().reset();  // joins the driver; detach resolves stragglers
-  ledger.finalize(row, elapsed_s);
+  fleet.value().reset();  // joins the pump; detach resolves stragglers
+  feed.tally(row);
+  row.goodput_rps = elapsed_s > 0.0
+                        ? static_cast<double>(row.completed_ok) / elapsed_s
+                        : 0.0;
+  const OkLatency latency = feed.latency();
+  row.p50_us = latency.p50_us;
+  row.p99_us = latency.p99_us;
   return row;
 }
 
@@ -439,17 +377,6 @@ struct RebalanceRow {
   double recovery_ratio = 0.0;  ///< post / pre (the >= 0.9 gate)
 };
 
-/// OK-completions inside [begin_s, end_s), as a rate.
-double window_goodput(const std::vector<double>& ok_times_s, double begin_s,
-                      double end_s) {
-  if (end_s <= begin_s) return 0.0;
-  std::size_t count = 0;
-  for (const double t : ok_times_s) {
-    if (t >= begin_s && t < end_s) ++count;
-  }
-  return static_cast<double>(count) / (end_s - begin_s);
-}
-
 /// Feed a 4-shard fleet at 0.8x capacity; join the spare at 40% of the
 /// feed, retire shard 0 at 70%. Goodput is compared between the
 /// pre-join plateau and the post-resize tail.
@@ -461,94 +388,41 @@ Result<RebalanceRow> run_rebalance_step(const BenchConfig& config,
 
   const double offered_rps =
       0.8 * shard_capacity_rps * static_cast<double>(kShards);
-  const auto interval =
-      std::chrono::nanoseconds(static_cast<std::int64_t>(1e9 / offered_rps));
   // Twice the per-step budget: the row needs a plateau on each side of
   // the two topology flips.
-  const int total =
-      static_cast<int>(offered_rps * config.seconds_per_step * 2.0);
-  const double feed_s = static_cast<double>(total) * 1e-9 *
-                        static_cast<double>(interval.count());
-  const int join_at = (total * 2) / 5;
-  const int leave_at = (total * 7) / 10;
+  const auto total =
+      static_cast<std::size_t>(offered_rps * config.seconds_per_step * 2.0);
+  const double feed_s = static_cast<double>(total) / offered_rps;
+  const std::size_t join_at = (total * 2) / 5;
+  const std::size_t leave_at = (total * 7) / 10;
 
   RebalanceRow row;
-  Ledger ledger(static_cast<std::size_t>(total));
-  std::mutex times_mutex;
-  std::vector<double> ok_times_s;
-  ok_times_s.reserve(static_cast<std::size_t>(total));
-  ingress::RemoteSubmitOptions options;
-  options.deadline = std::chrono::milliseconds(config.deadline_ms);
-
-  const auto start = std::chrono::steady_clock::now();
-  auto next_at = start;
-  for (int r = 0; r < total; ++r) {
-    std::this_thread::sleep_until(next_at);
-    next_at += interval;
-    if (r == join_at) {
+  ClusterFeed feed(config, offered_rps, total);
+  feed.run(*fleet.value(), [&](std::size_t i) {
+    if (i == join_at) {
       fleet.value()->join_spare.store(true, std::memory_order_release);
     }
-    if (r == leave_at) {
+    if (i == leave_at) {
       // The join's migration bound, read before the leave overwrites it.
-      row.moved_fraction =
-          fleet.value()->frontend->last_rebalance_fraction();
+      row.moved_fraction = fleet.value()->frontend->last_rebalance_fraction();
       fleet.value()->leave_shard.store(0, std::memory_order_release);
     }
-    ++row.submitted;
-    ledger.outstanding.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t index = static_cast<std::size_t>(r);
-    auto submitted = fleet.value()->client->submit(
-        "cml", "s" + std::to_string(r), scenario_text(r),
-        [&ledger, &times_mutex, &ok_times_s, index,
-         start](const ingress::RemoteOutcome& outcome) {
-          const double at_s = std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - start)
-                                  .count();
-          ledger.resolve(index, outcome, 0.0);
-          if (outcome.status.ok()) {
-            std::lock_guard lock(times_mutex);
-            ok_times_s.push_back(at_s);
-          }
-        },
-        options);
-    if (!submitted.ok()) {
-      ingress::RemoteOutcome failed;
-      failed.status = submitted.status();
-      ledger.resolve(index, failed, 0.0);
-    }
-  }
-  const auto wall_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (ledger.outstanding.load(std::memory_order_relaxed) != 0 &&
-         std::chrono::steady_clock::now() < wall_deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  });
 
   const cluster::ClusterFrontEnd::Stats stats =
       fleet.value()->frontend->stats();
   row.joins_completed = stats.joins_completed;
   row.leaves_completed = stats.leaves_completed;
   row.full_sync_acks = stats.full_sync_acks;
-  fleet.value().reset();  // joins the driver; detach resolves stragglers
-
-  Row scratch;
-  ledger.finalize(scratch, feed_s);
-  row.completed_ok = scratch.completed_ok;
-  row.refused = scratch.refused;
-  row.lost = scratch.lost;
-  row.duplicate_callbacks = scratch.duplicate_callbacks;
-  row.unresolved = scratch.unresolved;
+  fleet.value().reset();  // joins the pump; detach resolves stragglers
+  feed.tally(row);
 
   // Plateaus: [10%, 40%) of the feed is untouched by either flip; the
   // tail after 80% has both behind it (the leave flip at 70% is
   // instantaneous — only the drain settles afterwards).
-  {
-    std::lock_guard lock(times_mutex);
-    row.pre_join_goodput_rps =
-        window_goodput(ok_times_s, 0.10 * feed_s, 0.40 * feed_s);
-    row.post_resize_goodput_rps =
-        window_goodput(ok_times_s, 0.80 * feed_s, feed_s);
-  }
+  row.pre_join_goodput_rps =
+      feed.window_goodput(0.10 * feed_s, 0.40 * feed_s);
+  row.post_resize_goodput_rps = feed.window_goodput(0.80 * feed_s, feed_s);
   row.recovery_ratio =
       row.pre_join_goodput_rps > 0.0
           ? row.post_resize_goodput_rps / row.pre_join_goodput_rps
@@ -675,53 +549,13 @@ Result<ResumeRow> run_resume_step(const BenchConfig& base,
   const double offered_rps =
       0.4 * shard_capacity_rps * static_cast<double>(kShards);
   const double feed_s = std::max(2.0, config.seconds_per_step);
-  const auto interval =
-      std::chrono::nanoseconds(static_cast<std::int64_t>(1e9 / offered_rps));
-  const int total = static_cast<int>(offered_rps * feed_s);
-  Ledger ledger(static_cast<std::size_t>(total));
-  std::mutex times_mutex;
-  std::vector<double> ok_times_s;
-  ok_times_s.reserve(static_cast<std::size_t>(total));
-  ingress::RemoteSubmitOptions options;
-  options.deadline = std::chrono::milliseconds(config.deadline_ms);
-
-  const auto start = std::chrono::steady_clock::now();
-  auto next_at = start;
-  for (int r = 0; r < total; ++r) {
-    std::this_thread::sleep_until(next_at);
-    next_at += interval;
-    if (r == total / 2) {
+  const auto total = static_cast<std::size_t>(offered_rps * feed_s);
+  ClusterFeed feed(config, offered_rps, total);
+  feed.run(*fleet.value(), [&](std::size_t i) {
+    if (i == total / 2) {
       fleet.value()->kill_shard.store(0, std::memory_order_release);
     }
-    ++row.submitted;
-    ledger.outstanding.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t index = static_cast<std::size_t>(r);
-    auto submitted = fleet.value()->client->submit(
-        "cml", "s" + std::to_string(r), scenario_text(r),
-        [&ledger, &times_mutex, &ok_times_s, index,
-         start](const ingress::RemoteOutcome& outcome) {
-          const double at_s = std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - start)
-                                  .count();
-          ledger.resolve(index, outcome, 0.0);
-          if (outcome.status.ok()) {
-            std::lock_guard lock(times_mutex);
-            ok_times_s.push_back(at_s);
-          }
-        },
-        options);
-    if (!submitted.ok()) {
-      ingress::RemoteOutcome failed;
-      failed.status = submitted.status();
-      ledger.resolve(index, failed, 0.0);
-    }
-  }
-  const auto wall_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (ledger.outstanding.load(std::memory_order_relaxed) != 0 &&
-         std::chrono::steady_clock::now() < wall_deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  });
 
   // The victim is dead and its breaker open: close the probes one at a
   // time. Sequential on purpose — a resume import wholesale-replaces
@@ -743,25 +577,13 @@ Result<ResumeRow> run_resume_step(const BenchConfig& base,
   row.resumes_completed = stats.resumes_completed;
   row.failovers = stats.failovers;
   row.rerouted = stats.rerouted;
-  fleet.value().reset();  // joins the driver; detach resolves stragglers
-
-  Row scratch;
-  ledger.finalize(scratch, feed_s);
-  row.completed_ok = scratch.completed_ok;
-  row.refused = scratch.refused;
-  row.lost = scratch.lost;
-  row.duplicate_callbacks = scratch.duplicate_callbacks;
-  row.unresolved = scratch.unresolved;
+  fleet.value().reset();  // joins the pump; detach resolves stragglers
+  feed.tally(row);
 
   // Plateaus around the 50% kill: [10%, 45%) is untouched; by 70% the
   // breaker has tripped and every victim-arc submit reroutes.
-  {
-    std::lock_guard lock(times_mutex);
-    row.pre_kill_goodput_rps =
-        window_goodput(ok_times_s, 0.10 * feed_s, 0.45 * feed_s);
-    row.post_kill_goodput_rps =
-        window_goodput(ok_times_s, 0.70 * feed_s, feed_s);
-  }
+  row.pre_kill_goodput_rps = feed.window_goodput(0.10 * feed_s, 0.45 * feed_s);
+  row.post_kill_goodput_rps = feed.window_goodput(0.70 * feed_s, feed_s);
   row.recovery_ratio = row.pre_kill_goodput_rps > 0.0
                            ? row.post_kill_goodput_rps /
                                  row.pre_kill_goodput_rps

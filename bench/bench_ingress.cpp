@@ -1,7 +1,7 @@
 // Ingress bench (PR 7): what does the networked front-end cost? The same
 // CVM platform is loaded two ways at each offered-load multiplier —
 //
-//   in-process:    a feeder thread calls submit_async() directly
+//   in-process:    the open-loop feed calls submit_async() directly
 //                  (the PR-5/PR-6 baseline);
 //   over-the-wire: an IngressClient submits through the simulated
 //                  network into an IngressServer, whose router +
@@ -9,37 +9,36 @@
 //                  submit_async(), and every outcome travels back as a
 //                  typed reply.
 //
-// A driver thread slaves the network's SimClock to real time, so wire
+// A WallClockPump slaves the network's SimClock to real time, so wire
 // latency (100us each way here) and codec/routing overhead show up in
-// the measured latencies exactly once. Per (mode, multiplier) we record
-// goodput, typed-refusal counts and p50/p99 of the successful requests.
+// the measured latencies exactly once. Both modes feed, count and time
+// through perfbench/harness.hpp (via bench_support.hpp): each request is
+// timed from its submit call. Per (mode, multiplier) we record goodput
+// (every ok reply), typed-refusal counts, p50/p99 of the successful
+// requests and late_ok — ok replies after the 25 ms deadline, reported
+// but not gated.
 //
-// Pass criterion (recorded in BENCH_7.json): over-the-wire goodput at 1x
+// Pass criteria (recorded in BENCH_7.json): over-the-wire goodput at 1x
 // stays within 70% of in-process goodput at 1x — the front-end may tax
 // each request with codec + two hops, but it must not throttle a
-// pipeline that is keeping up. At 10x both deployments shed via the
-// PR-5 admission gates; the wire rows show the refusals arriving as
-// typed replies instead of silence.
+// pipeline that is keeping up — and every request in every row resolves
+// exactly once. At 10x both deployments shed via the overload
+// admission gates; the wire rows show the refusals arriving as typed
+// replies instead of silence.
 //
 // Output: human summary on stderr, one JSON document on stdout so
 // run_benches.sh can record the rows in BENCH_7.json.
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/clock.hpp"
+#include "bench_support.hpp"
 #include "common/log.hpp"
 #include "core/platform.hpp"
 #include "domains/comm/cml.hpp"
-#include "domains/comm/cvm.hpp"
 #include "ingress/ingress_client.hpp"
 #include "ingress/ingress_server.hpp"
 #include "net/network.hpp"
@@ -47,25 +46,7 @@
 namespace {
 
 using namespace mdsm;
-
-/// Thread-safe stand-in for the comm services: each invocation sleeps
-/// for the configured service latency.
-class SimulatedCommService final : public broker::ResourceAdapter {
- public:
-  SimulatedCommService(std::string name, std::chrono::microseconds delay)
-      : ResourceAdapter(std::move(name)), delay_(delay) {}
-
-  Result<model::Value> execute(const std::string& command,
-                               const broker::Args& args) override {
-    (void)command;
-    (void)args;
-    if (delay_.count() > 0) std::this_thread::sleep_for(delay_);
-    return model::Value(true);
-  }
-
- private:
-  std::chrono::microseconds delay_;
-};
+using namespace mdsm::bench;
 
 struct BenchConfig {
   int pipeline_threads = 4;
@@ -77,26 +58,6 @@ struct BenchConfig {
   bool json_only = false;
 };
 
-/// The CVM middleware model with the PR-5 overload attributes spliced
-/// into its MiddlewarePlatform root, so both deployments shed instead of
-/// collapsing at 10x.
-std::string ingress_cvm_text(const BenchConfig& config) {
-  std::string text(comm::cvm_middleware_model_text());
-  const std::string anchor = "domain = \"communication\"";
-  std::string attrs = "\n  queue_capacity = " +
-                      std::to_string(config.queue_capacity) +
-                      "\n  overflow_policy = reject"
-                      "\n  admission = true";
-  text.insert(text.find(anchor) + anchor.size(), attrs);
-  return text;
-}
-
-std::string scenario_text(int rep) {
-  std::string id = "c" + std::to_string(rep);
-  return "model app_" + id + " conforms cml\nobject Connection " + id +
-         " { state = pending }\n";
-}
-
 enum class Mode { kInProcess, kOverTheWire };
 
 struct Row {
@@ -104,8 +65,10 @@ struct Row {
   double multiplier = 0.0;
   double offered_rps = 0.0;
   std::uint64_t submitted = 0;
-  std::uint64_t completed_ok = 0;
+  std::uint64_t completed_ok = 0;  ///< every ok reply, late ones included
+  std::uint64_t late_ok = 0;       ///< ok replies after the deadline
   std::uint64_t refused = 0;  ///< door refusals + typed refusal replies
+  bool exactly_once = false;  ///< one terminal outcome per request
   double goodput_rps = 0.0;
   double p50_us = 0.0;
   double p99_us = 0.0;
@@ -118,7 +81,7 @@ Result<std::unique_ptr<core::Platform>> make_platform(
   platform_config.pipeline_threads =
       static_cast<unsigned>(config.pipeline_threads);
   auto assembled = core::Platform::assemble_from_text(
-      ingress_cvm_text(config), platform_config);
+      overload_cvm_text(config.queue_capacity), platform_config);
   if (!assembled.ok()) return assembled.status();
   auto platform = std::move(assembled.value());
   MDSM_RETURN_IF_ERROR(platform->add_resource_adapter(
@@ -128,87 +91,70 @@ Result<std::unique_ptr<core::Platform>> make_platform(
   return platform;
 }
 
-/// Shared per-step ledger; finalizes goodput and percentiles.
-struct Ledger {
-  std::mutex mutex;
-  std::uint64_t completed_ok = 0;
-  std::uint64_t refused = 0;
-  std::vector<double> ok_latencies_us;
-  std::atomic<int> outstanding{0};
-
-  void resolve(bool ok, double latency_us) {
-    {
-      std::lock_guard lock(mutex);
-      if (ok) {
-        ++completed_ok;
-        ok_latencies_us.push_back(latency_us);
-      } else {
-        ++refused;
-      }
-    }
-    outstanding.fetch_sub(1, std::memory_order_relaxed);
+/// Offered load and request count of one (mode, multiplier) step.
+struct Step {
+  Step(const BenchConfig& config, Mode mode, double multiplier,
+       double capacity_rps)
+      : offered_rps(multiplier * capacity_rps),
+        total(static_cast<std::size_t>(offered_rps *
+                                       config.seconds_per_step)),
+        ledger(total, std::chrono::milliseconds(config.deadline_ms)),
+        schedule(BenchClock::now(), offered_rps) {
+    row.mode = mode;
+    row.multiplier = multiplier;
+    row.offered_rps = offered_rps;
   }
 
-  void finalize(Row& row, double elapsed_s) {
-    row.completed_ok = completed_ok;
-    row.refused = refused;
-    row.goodput_rps =
-        elapsed_s > 0.0 ? static_cast<double>(completed_ok) / elapsed_s : 0.0;
-    std::sort(ok_latencies_us.begin(), ok_latencies_us.end());
-    if (!ok_latencies_us.empty()) {
-      row.p50_us = ok_latencies_us[ok_latencies_us.size() / 2];
-      row.p99_us = ok_latencies_us[std::min(
-          ok_latencies_us.size() - 1, ok_latencies_us.size() * 99 / 100)];
-    }
+  /// Fill the row once the feed settled (or gave up waiting).
+  Row finish() {
+    const double elapsed_s =
+        perfbench::to_s(BenchClock::now() - schedule.start());
+    const Ledger::Summary summary = ledger.summarize();
+    row.submitted = summary.attempted;
+    row.completed_ok = summary.ok + summary.late_ok;
+    row.late_ok = summary.late_ok;
+    row.refused = summary.failed + summary.refused;
+    row.exactly_once = summary.exactly_once();
+    row.goodput_rps = elapsed_s > 0.0
+                          ? static_cast<double>(row.completed_ok) / elapsed_s
+                          : 0.0;
+    const OkLatency latency = ok_latency(ledger);
+    row.p50_us = latency.p50_us;
+    row.p99_us = latency.p99_us;
+    return row;
   }
+
+  double offered_rps;
+  std::size_t total;
+  Ledger ledger;
+  OpenLoopSchedule schedule;
+  Row row;
 };
 
 Result<Row> run_in_process(const BenchConfig& config, double multiplier,
                            double capacity_rps) {
   auto platform = make_platform(config);
   if (!platform.ok()) return platform.status();
-
-  const double offered_rps = multiplier * capacity_rps;
-  const auto interval =
-      std::chrono::nanoseconds(static_cast<std::int64_t>(1e9 / offered_rps));
-  const int total = static_cast<int>(offered_rps * config.seconds_per_step);
-
-  Row row;
-  row.mode = Mode::kInProcess;
-  row.multiplier = multiplier;
-  row.offered_rps = offered_rps;
-  Ledger ledger;
-  ledger.ok_latencies_us.reserve(static_cast<std::size_t>(total));
   core::SubmitOptions options;
   options.deadline = std::chrono::milliseconds(config.deadline_ms);
 
-  const auto start = std::chrono::steady_clock::now();
-  auto next_at = start;
-  for (int r = 0; r < total; ++r) {
-    std::this_thread::sleep_until(next_at);
-    next_at += interval;
-    const auto enqueued = std::chrono::steady_clock::now();
-    ++row.submitted;
-    ledger.outstanding.fetch_add(1, std::memory_order_relaxed);
-    Status queued = platform.value()->submit_async(
-        scenario_text(r),
-        [&ledger, enqueued](Result<controller::ControlScript> outcome) {
-          ledger.resolve(outcome.ok(),
-                         std::chrono::duration<double, std::micro>(
-                             std::chrono::steady_clock::now() - enqueued)
-                             .count());
-        },
-        options);
-    if (!queued.ok()) ledger.resolve(false, 0.0);
-  }
-  while (ledger.outstanding.load(std::memory_order_relaxed) != 0) {
-    std::this_thread::yield();
-  }
-  const double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  Step step(config, Mode::kInProcess, multiplier, capacity_rps);
+  Ledger& ledger = step.ledger;
+  feed_open_loop(ledger, step.schedule, step.total,
+                 [&](std::size_t i, std::size_t entry) {
+                   return platform.value()
+                       ->submit_async(
+                           scenario_text(i),
+                           [&ledger, entry](
+                               Result<controller::ControlScript> outcome) {
+                             resolve_now(ledger, entry, outcome.ok());
+                           },
+                           options)
+                       .ok();
+                 });
+  (void)ledger.wait_settled(kSettleTimeout);
+  Row row = step.finish();
   MDSM_RETURN_IF_ERROR(platform.value()->stop());
-  ledger.finalize(row, elapsed_s);
   return row;
 }
 
@@ -231,96 +177,53 @@ Result<Row> run_over_the_wire(const BenchConfig& config, double multiplier,
       ingress::IngressClient::attach(network, server.value()->endpoint_name());
   if (!client.ok()) return client.status();
 
-  // The driver slaves the SimClock to real time and pumps deliveries:
-  // requests into the server's handler, replies back into the client's.
-  std::atomic<bool> stop{false};
-  std::thread driver([&] {
-    // Tracking an absolute target avoids accumulating truncation drift.
-    const auto origin = std::chrono::steady_clock::now();
-    Duration advanced{0};
-    while (!stop.load(std::memory_order_acquire)) {
-      const auto target = std::chrono::duration_cast<Duration>(
-          std::chrono::steady_clock::now() - origin);
-      if (target > advanced) {
-        sim.advance(target - advanced);
-        advanced = target;
-      }
-      network.deliver_due();
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-    // Final drain: let every in-flight message and reply land.
-    sim.advance(std::chrono::seconds(1));
-    network.run_until_idle();
-  });
+  // Requests into the server's handler, replies back into the client's.
+  WallClockPump pump(sim, network);
 
-  const double offered_rps = multiplier * capacity_rps;
-  const auto interval =
-      std::chrono::nanoseconds(static_cast<std::int64_t>(1e9 / offered_rps));
-  const int total = static_cast<int>(offered_rps * config.seconds_per_step);
-
-  Row row;
-  row.mode = Mode::kOverTheWire;
-  row.multiplier = multiplier;
-  row.offered_rps = offered_rps;
-  Ledger ledger;
-  ledger.ok_latencies_us.reserve(static_cast<std::size_t>(total));
   ingress::RemoteSubmitOptions options;
   options.deadline = std::chrono::milliseconds(config.deadline_ms);
-
-  const auto start = std::chrono::steady_clock::now();
-  auto next_at = start;
-  for (int r = 0; r < total; ++r) {
-    std::this_thread::sleep_until(next_at);
-    next_at += interval;
-    const auto enqueued = std::chrono::steady_clock::now();
-    ++row.submitted;
-    ledger.outstanding.fetch_add(1, std::memory_order_relaxed);
-    auto submitted = client.value()->submit(
-        "cml", "s" + std::to_string(r), scenario_text(r),
-        [&ledger, enqueued](const ingress::RemoteOutcome& outcome) {
-          ledger.resolve(outcome.status.ok(),
-                         std::chrono::duration<double, std::micro>(
-                             std::chrono::steady_clock::now() - enqueued)
-                             .count());
-        },
-        options);
-    if (!submitted.ok()) ledger.resolve(false, 0.0);
-  }
+  Step step(config, Mode::kOverTheWire, multiplier, capacity_rps);
+  Ledger& ledger = step.ledger;
+  feed_open_loop(ledger, step.schedule, step.total,
+                 [&](std::size_t i, std::size_t entry) {
+                   return client.value()
+                       ->submit(
+                           "cml", "s" + std::to_string(i), scenario_text(i),
+                           [&ledger,
+                            entry](const ingress::RemoteOutcome& outcome) {
+                             resolve_now(ledger, entry, outcome.status.ok());
+                           },
+                           options)
+                       .ok();
+                 });
   // Every request resolves: success reply, typed refusal reply, or (with
   // a lossless link, only if something went badly wrong) expiry.
-  const auto wall_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (ledger.outstanding.load(std::memory_order_relaxed) != 0 &&
-         std::chrono::steady_clock::now() < wall_deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  if (ledger.outstanding.load(std::memory_order_relaxed) != 0) {
+  if (!ledger.wait_settled(kSettleTimeout)) {
     sim.advance(std::chrono::minutes(10));
     client.value()->expire_overdue();
   }
-  const double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  Row row = step.finish();
 
   MDSM_RETURN_IF_ERROR(platform.value()->stop());
-  stop.store(true, std::memory_order_release);
-  driver.join();
+  pump.stop();
   client.value().reset();
   server.value().reset();
-  ledger.finalize(row, elapsed_s);
   return row;
 }
 
 void print_row_json(const Row& row, bool last) {
   std::printf(
       "    {\"mode\": \"%s\", \"multiplier\": %.1f, \"offered_rps\": %.0f, "
-      "\"submitted\": %llu, \"completed_ok\": %llu, \"refused\": %llu, "
-      "\"goodput_rps\": %.1f, \"p50_us\": %.1f, \"p99_us\": %.1f}%s\n",
+      "\"submitted\": %llu, \"completed_ok\": %llu, \"late_ok\": %llu, "
+      "\"refused\": %llu, \"exactly_once\": %s, \"goodput_rps\": %.1f, "
+      "\"p50_us\": %.1f, \"p99_us\": %.1f}%s\n",
       row.mode == Mode::kInProcess ? "in-process" : "wire", row.multiplier,
       row.offered_rps, static_cast<unsigned long long>(row.submitted),
       static_cast<unsigned long long>(row.completed_ok),
-      static_cast<unsigned long long>(row.refused), row.goodput_rps,
-      row.p50_us, row.p99_us, last ? "" : ",");
+      static_cast<unsigned long long>(row.late_ok),
+      static_cast<unsigned long long>(row.refused),
+      row.exactly_once ? "true" : "false", row.goodput_rps, row.p50_us,
+      row.p99_us, last ? "" : ",");
 }
 
 }  // namespace
@@ -374,12 +277,14 @@ int main(int argc, char** argv) {
 
   double inproc_1x = 0.0;
   double wire_1x = 0.0;
+  bool exactly_once = true;
   if (!config.json_only) {
-    std::fprintf(stderr, "%12s %6s %12s %10s %10s %9s %10s %10s\n", "mode",
-                 "mult", "offered/s", "goodput/s", "ok", "refused", "p50 us",
-                 "p99 us");
+    std::fprintf(stderr, "%12s %6s %12s %10s %10s %8s %9s %10s %10s\n",
+                 "mode", "mult", "offered/s", "goodput/s", "ok", "late ok",
+                 "refused", "p50 us", "p99 us");
   }
   for (const Row& row : rows) {
+    exactly_once = exactly_once && row.exactly_once;
     if (row.multiplier == 1.0 && row.mode == Mode::kInProcess) {
       inproc_1x = row.goodput_rps;
     }
@@ -388,20 +293,23 @@ int main(int argc, char** argv) {
     }
     if (!config.json_only) {
       std::fprintf(
-          stderr, "%12s %6.1f %12.0f %10.1f %10llu %9llu %10.1f %10.1f\n",
+          stderr,
+          "%12s %6.1f %12.0f %10.1f %10llu %8llu %9llu %10.1f %10.1f\n",
           row.mode == Mode::kInProcess ? "in-process" : "wire", row.multiplier,
           row.offered_rps, row.goodput_rps,
           static_cast<unsigned long long>(row.completed_ok),
+          static_cast<unsigned long long>(row.late_ok),
           static_cast<unsigned long long>(row.refused), row.p50_us,
           row.p99_us);
     }
   }
   const double ratio = inproc_1x > 0.0 ? wire_1x / inproc_1x : 0.0;
-  const bool pass = ratio >= 0.7;
+  const bool pass = ratio >= 0.7 && exactly_once;
   if (!config.json_only) {
     std::fprintf(stderr,
-                 "\nwire goodput at 1x vs in-process: %.2f (target >= 0.70)\n",
-                 ratio);
+                 "\nwire goodput at 1x vs in-process: %.2f (target >= 0.70), "
+                 "exactly once: %s\n",
+                 ratio, exactly_once ? "yes" : "NO");
   }
 
   std::printf("{\n  \"bench\": \"ingress\", \"scenario\": \"cvm_split\", "
@@ -415,7 +323,8 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     print_row_json(rows[i], i + 1 == rows.size());
   }
-  std::printf("  ],\n  \"wire_vs_in_process_1x\": %.3f, \"pass\": %s\n}\n",
-              ratio, pass ? "true" : "false");
+  std::printf("  ],\n  \"wire_vs_in_process_1x\": %.3f, "
+              "\"exactly_once\": %s, \"pass\": %s\n}\n",
+              ratio, exactly_once ? "true" : "false", pass ? "true" : "false");
   return pass ? 0 : 1;
 }

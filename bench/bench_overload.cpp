@@ -4,9 +4,11 @@
 //
 // The platform under test is the CVM with model-driven overload
 // protection spliced into its MiddlewarePlatform root: a bounded
-// pipeline queue (kReject) and deadline-aware admission control. A
-// feeder thread paces submit_async() calls at the target rate; every
-// request carries the same deadline budget. Per multiplier we record:
+// pipeline queue (kReject) and deadline-aware admission control. An
+// open-loop feed (bench_support.hpp over perfbench/harness.hpp) paces
+// submit_async() calls at the target rate and times each request from
+// its submit; every request carries the same deadline budget. Per
+// multiplier we record:
 //
 //   - goodput: requests whose callback delivered Ok, per second;
 //   - shed/rejected: refused at the door (admission or full queue) or
@@ -17,52 +19,30 @@
 //   - queue depth high-water vs the configured capacity.
 //
 // Pass criteria (recorded in BENCH_5.json): bounded depth <= capacity,
-// zero late completions at every multiplier, and 10x goodput within 20%
-// of the 1x plateau — an unprotected pipeline instead collapses as every
-// queued request times out.
+// zero late completions at every multiplier, 10x goodput within 20% of
+// the 1x plateau — an unprotected pipeline instead collapses as every
+// queued request times out — and exactly one outcome per request (none
+// unresolved 30 s after the feed, none resolved twice).
 //
 // Output: human summary on stderr, one JSON document on stdout so
 // run_benches.sh can record the rows in BENCH_5.json.
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/clock.hpp"
+#include "bench_support.hpp"
 #include "common/log.hpp"
 #include "core/platform.hpp"
 #include "domains/comm/cml.hpp"
-#include "domains/comm/cvm.hpp"
 
 namespace {
 
 using namespace mdsm;
-
-/// Thread-safe stand-in for the comm services: each invocation sleeps
-/// for the configured service latency.
-class SimulatedCommService final : public broker::ResourceAdapter {
- public:
-  SimulatedCommService(std::string name, std::chrono::microseconds delay)
-      : ResourceAdapter(std::move(name)), delay_(delay) {}
-
-  Result<model::Value> execute(const std::string& command,
-                               const broker::Args& args) override {
-    (void)command;
-    (void)args;
-    if (delay_.count() > 0) std::this_thread::sleep_for(delay_);
-    return model::Value(true);
-  }
-
- private:
-  std::chrono::microseconds delay_;
-};
+using namespace mdsm::bench;
 
 struct BenchConfig {
   int pipeline_threads = 4;
@@ -73,26 +53,6 @@ struct BenchConfig {
   bool json_only = false;
 };
 
-/// The CVM middleware model with the PR-5 overload attributes spliced
-/// into its MiddlewarePlatform root — the same model-driven path the
-/// platform decodes queue_capacity / overflow_policy / admission from.
-std::string overload_cvm_text(const BenchConfig& config) {
-  std::string text(comm::cvm_middleware_model_text());
-  const std::string anchor = "domain = \"communication\"";
-  std::string attrs = "\n  queue_capacity = " +
-                      std::to_string(config.queue_capacity) +
-                      "\n  overflow_policy = reject"
-                      "\n  admission = true";
-  text.insert(text.find(anchor) + anchor.size(), attrs);
-  return text;
-}
-
-std::string scenario_text(int rep) {
-  std::string id = "c" + std::to_string(rep);
-  return "model app_" + id + " conforms cml\nobject Connection " + id +
-         " { state = pending }\n";
-}
-
 struct Row {
   double multiplier = 0.0;
   double offered_rps = 0.0;
@@ -101,6 +61,7 @@ struct Row {
   std::uint64_t completed_ok = 0;  ///< callback with Ok
   std::uint64_t failed = 0;        ///< callback with non-Ok
   std::uint64_t late = 0;          ///< Ok callbacks past the deadline
+  bool exactly_once = false;       ///< one terminal outcome per request
   std::uint64_t shed_expired = 0;
   std::uint64_t shed_predicted = 0;
   std::uint64_t queue_rejections = 0;
@@ -118,7 +79,7 @@ Result<Row> run_step(const BenchConfig& config, double multiplier,
   platform_config.pipeline_threads =
       static_cast<unsigned>(config.pipeline_threads);
   auto assembled = core::Platform::assemble_from_text(
-      overload_cvm_text(config), platform_config);
+      overload_cvm_text(config.queue_capacity), platform_config);
   if (!assembled.ok()) return assembled.status();
   auto platform = std::move(assembled.value());
   MDSM_RETURN_IF_ERROR(platform->add_resource_adapter(
@@ -127,68 +88,33 @@ Result<Row> run_step(const BenchConfig& config, double multiplier,
   MDSM_RETURN_IF_ERROR(platform->start());
 
   const double offered_rps = multiplier * capacity_rps;
-  const auto interval = std::chrono::nanoseconds(
-      static_cast<std::int64_t>(1e9 / offered_rps));
-  const int total = static_cast<int>(offered_rps * config.seconds_per_step);
+  const auto total =
+      static_cast<std::size_t>(offered_rps * config.seconds_per_step);
   const Duration deadline = std::chrono::milliseconds(config.deadline_ms);
+  Ledger ledger(total, deadline);
+  core::SubmitOptions options;
+  options.deadline = deadline;
 
-  std::mutex done_mutex;
-  std::uint64_t completed_ok = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t late = 0;
-  std::vector<double> ok_latencies_us;
-  ok_latencies_us.reserve(static_cast<std::size_t>(total));
-  std::atomic<int> outstanding{0};
+  const OpenLoopSchedule schedule(BenchClock::now(), offered_rps);
+  feed_open_loop(ledger, schedule, total,
+                 [&](std::size_t i, std::size_t entry) {
+                   return platform
+                       ->submit_async(
+                           scenario_text(i),
+                           [&ledger, entry](
+                               Result<controller::ControlScript> outcome) {
+                             resolve_now(ledger, entry, outcome.ok());
+                           },
+                           options)
+                       .ok();
+                 });
+  (void)ledger.wait_settled(kSettleTimeout);
+  const double elapsed_s =
+      perfbench::to_s(BenchClock::now() - schedule.start());
 
   Row row;
   row.multiplier = multiplier;
   row.offered_rps = offered_rps;
-  core::SubmitOptions options;
-  options.deadline = deadline;
-
-  const auto start = std::chrono::steady_clock::now();
-  auto next_at = start;
-  for (int r = 0; r < total; ++r) {
-    std::this_thread::sleep_until(next_at);
-    next_at += interval;
-    const auto enqueued = std::chrono::steady_clock::now();
-    ++row.submitted;
-    outstanding.fetch_add(1, std::memory_order_relaxed);
-    Status queued = platform->submit_async(
-        scenario_text(r),
-        [&, enqueued](Result<controller::ControlScript> outcome) {
-          const double latency_us =
-              std::chrono::duration<double, std::micro>(
-                  std::chrono::steady_clock::now() - enqueued)
-                  .count();
-          {
-            std::lock_guard lock(done_mutex);
-            if (outcome.ok()) {
-              ++completed_ok;
-              ok_latencies_us.push_back(latency_us);
-              if (latency_us >
-                  static_cast<double>(config.deadline_ms) * 1000.0) {
-                ++late;
-              }
-            } else {
-              ++failed;
-            }
-          }
-          outstanding.fetch_sub(1, std::memory_order_relaxed);
-        },
-        options);
-    if (!queued.ok()) {
-      ++row.refused;
-      outstanding.fetch_sub(1, std::memory_order_relaxed);
-    }
-  }
-  while (outstanding.load(std::memory_order_relaxed) != 0) {
-    std::this_thread::yield();
-  }
-  const double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
   const auto snapshot = platform->metrics().snapshot();
   row.shed_expired = snapshot.counter_value("ui.shed_expired");
   row.shed_predicted = snapshot.counter_value("ui.shed_predicted");
@@ -198,18 +124,19 @@ Result<Row> run_step(const BenchConfig& config, double multiplier,
   row.max_bounded_pending = stats.max_bounded_pending;
   MDSM_RETURN_IF_ERROR(platform->stop());
 
-  row.completed_ok = completed_ok;
-  row.failed = failed;
-  row.late = late;
+  const Ledger::Summary summary = ledger.summarize();
+  row.submitted = summary.attempted;
+  row.refused = summary.refused;
+  row.completed_ok = summary.ok + summary.late_ok;
+  row.failed = summary.failed;
+  row.late = summary.late_ok;
+  row.exactly_once = summary.exactly_once();
   row.goodput_rps = elapsed_s > 0.0
-                        ? static_cast<double>(completed_ok) / elapsed_s
+                        ? static_cast<double>(row.completed_ok) / elapsed_s
                         : 0.0;
-  std::sort(ok_latencies_us.begin(), ok_latencies_us.end());
-  if (!ok_latencies_us.empty()) {
-    row.p50_us = ok_latencies_us[ok_latencies_us.size() / 2];
-    row.p99_us = ok_latencies_us[std::min(ok_latencies_us.size() - 1,
-                                          ok_latencies_us.size() * 99 / 100)];
-  }
+  const OkLatency latency = ok_latency(ledger);
+  row.p50_us = latency.p50_us;
+  row.p99_us = latency.p99_us;
   return row;
 }
 
@@ -284,6 +211,7 @@ int main(int argc, char** argv) {
   double goodput_10x = rows.back().goodput_rps;
   std::uint64_t total_late = 0;
   std::uint64_t worst_depth = 0;
+  bool exactly_once = true;
   if (!config.json_only) {
     std::fprintf(stderr, "%6s %12s %10s %9s %9s %6s %10s %10s %8s\n", "mult",
                  "offered/s", "goodput/s", "refused", "failed", "late",
@@ -291,6 +219,7 @@ int main(int argc, char** argv) {
   }
   for (const Row& row : rows) {
     total_late += row.late;
+    exactly_once = exactly_once && row.exactly_once;
     // The capacity bound governs the entry backlog; continuation hops of
     // the staged pipeline ride above it by design, so the gate checks
     // the bounded gauge.
@@ -309,15 +238,17 @@ int main(int argc, char** argv) {
   const double retention = plateau > 0.0 ? goodput_10x / plateau : 0.0;
   const bool depth_ok =
       worst_depth <= static_cast<std::uint64_t>(config.queue_capacity);
-  const bool pass = depth_ok && total_late == 0 && retention >= 0.8;
+  const bool pass =
+      depth_ok && total_late == 0 && retention >= 0.8 && exactly_once;
   if (!config.json_only) {
     std::fprintf(stderr,
                  "\n10x goodput retention vs 1x plateau: %.2f (target >= "
                  "0.80), late completions: %llu (target 0), max depth %llu "
-                 "<= capacity %d: %s\n",
+                 "<= capacity %d: %s, exactly once: %s\n",
                  retention, static_cast<unsigned long long>(total_late),
                  static_cast<unsigned long long>(worst_depth),
-                 config.queue_capacity, depth_ok ? "yes" : "NO");
+                 config.queue_capacity, depth_ok ? "yes" : "NO",
+                 exactly_once ? "yes" : "NO");
   }
 
   std::printf("{\n  \"bench\": \"overload\", \"scenario\": \"cvm_bounded\", "
@@ -331,9 +262,10 @@ int main(int argc, char** argv) {
   }
   std::printf("  ],\n  \"goodput_retention_10x\": %.3f, "
               "\"late_completions\": %llu, \"max_depth\": %llu, "
-              "\"pass\": %s\n}\n",
+              "\"exactly_once\": %s, \"pass\": %s\n}\n",
               retention, static_cast<unsigned long long>(total_late),
               static_cast<unsigned long long>(worst_depth),
+              exactly_once ? "true" : "false",
               pass ? "true" : "false");
   return pass ? 0 : 1;
 }

@@ -12,7 +12,6 @@
 // Emits one JSON object. Pass criteria: at a 10% fault rate, retries
 // strictly improve goodput over fire-once; under a 100% outage, the
 // breaker issues fewer physical attempts per invoke than bare retries.
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -23,6 +22,7 @@
 #include "broker/chaos_adapter.hpp"
 #include "common/clock.hpp"
 #include "common/log.hpp"
+#include "harness.hpp"
 
 namespace {
 
@@ -48,13 +48,6 @@ struct RunResult {
   double p99_us = 0.0;
   double attempts_per_invoke = 0.0;
 };
-
-double percentile(std::vector<double>& samples, double p) {
-  std::sort(samples.begin(), samples.end());
-  auto index = static_cast<std::size_t>(p * static_cast<double>(
-                                                samples.size() - 1));
-  return samples[index];
-}
 
 RunResult run(double fail_rate, const broker::InvocationPolicy* policy,
               int invokes) {
@@ -84,8 +77,8 @@ RunResult run(double fail_rate, const broker::InvocationPolicy* policy,
   }
   RunResult out;
   out.goodput_pct = 100.0 * ok / invokes;
-  out.median_us = percentile(latencies, 0.5);
-  out.p99_us = percentile(latencies, 0.99);
+  out.median_us = perfbench::median(latencies);
+  out.p99_us = perfbench::quantile(latencies, 0.99);
   out.attempts_per_invoke =
       static_cast<double>(chaos_view->stats().executed) / invokes;
   return out;

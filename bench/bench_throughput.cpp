@@ -24,7 +24,6 @@
 //
 // Output: human summary on stderr, one JSON document on stdout so
 // run_benches.sh can record the rows in BENCH_6.json.
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -37,6 +36,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_support.hpp"
 #include "common/clock.hpp"
 #include "common/log.hpp"
 #include "core/platform.hpp"
@@ -46,33 +46,7 @@
 namespace {
 
 using namespace mdsm;
-
-/// Bench-local thread-safe stand-in for the comm services: every
-/// invocation sleeps for the configured service latency (session
-/// signalling / media path setup are network operations in the CVM) and
-/// counts itself. No shared mutable state beyond the atomic counter.
-class SimulatedCommService final : public broker::ResourceAdapter {
- public:
-  SimulatedCommService(std::string name, std::chrono::microseconds delay)
-      : ResourceAdapter(std::move(name)), delay_(delay) {}
-
-  Result<model::Value> execute(const std::string& command,
-                               const broker::Args& args) override {
-    (void)command;
-    (void)args;
-    if (delay_.count() > 0) std::this_thread::sleep_for(delay_);
-    invocations_.fetch_add(1, std::memory_order_relaxed);
-    return model::Value(true);
-  }
-
-  [[nodiscard]] std::uint64_t invocations() const noexcept {
-    return invocations_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::chrono::microseconds delay_;
-  std::atomic<std::uint64_t> invocations_{0};
-};
+using mdsm::bench::SimulatedCommService;
 
 /// A "device" whose operations take 5ms of wall time but no thread:
 /// execute_async() parks the request on the platform's event loop and
@@ -189,19 +163,15 @@ Result<std::unique_ptr<core::Platform>> make_bench_platform(
   return platform;
 }
 
-void finish_row(Row& row, std::vector<double>& latencies_us,
+void finish_row(Row& row, const std::vector<double>& latencies_us,
                 double elapsed_ms) {
-  std::sort(latencies_us.begin(), latencies_us.end());
   row.requests = latencies_us.size();
   row.elapsed_ms = elapsed_ms;
   row.rps = elapsed_ms > 0.0
                 ? static_cast<double>(row.requests) / (elapsed_ms / 1000.0)
                 : 0.0;
-  if (!latencies_us.empty()) {
-    row.p50_us = latencies_us[latencies_us.size() / 2];
-    row.p99_us = latencies_us[std::min(latencies_us.size() - 1,
-                                       latencies_us.size() * 99 / 100)];
-  }
+  row.p50_us = perfbench::median(latencies_us);
+  row.p99_us = perfbench::quantile(latencies_us, 0.99);
 }
 
 /// Synchronous mode: `threads` client threads each submit
@@ -489,11 +459,10 @@ int main(int argc, char** argv) {
     print_row_json(rows[i], i + 1 == rows.size());
   }
   const bool p50_ok = staged_p50_us > 0.0 && staged_p50_us < 10'000.0;
+  const bool pass = speedup_8 >= 3.0 && p50_ok && total_failures == 0;
   std::printf("  ],\n  \"speedup_8t\": %.2f, \"target_speedup\": 3.0,\n"
               "  \"async_staged_p50_us\": %.1f, \"p50_guard_us\": 10000,\n"
               "  \"pass\": %s\n}\n",
-              speedup_8, staged_p50_us,
-              speedup_8 >= 3.0 && p50_ok && total_failures == 0 ? "true"
-                                                                : "false");
-  return total_failures == 0 && p50_ok ? 0 : 1;
+              speedup_8, staged_p50_us, pass ? "true" : "false");
+  return pass ? 0 : 1;
 }

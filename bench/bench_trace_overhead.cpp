@@ -4,14 +4,15 @@
 // every observability operation early-returns.
 //
 // Acceptance target: enabling tracing costs < 5% median latency. Emits
-// one JSON object so CI and the driver can assert on it.
-#include <algorithm>
+// one JSON object so CI can assert on it, and exits 1 when it prints
+// "pass": false.
 #include <cstdio>
 #include <string_view>
 #include <vector>
 
 #include "common/clock.hpp"
 #include "domains/comm/cvm.hpp"
+#include "harness.hpp"
 
 namespace {
 
@@ -33,11 +34,6 @@ object Connection standup {
   child media Medium cam { kind = video }
 }
 )";
-
-double median(std::vector<double>& samples) {
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
-}
 
 /// One submit latency (µs) on a fresh platform (built untimed). With
 /// `traced`, the submission runs under a fresh enabled context;
@@ -81,8 +77,8 @@ int main() {
     enabled_samples.push_back(traced_first ? first : second);
     noop_samples.push_back(traced_first ? second : first);
   }
-  double enabled_us = median(enabled_samples);
-  double noop_us = median(noop_samples);
+  double enabled_us = perfbench::median(enabled_samples);
+  double noop_us = perfbench::median(noop_samples);
   if (enabled_us < 0.0 || noop_us < 0.0) {
     std::printf("{\"bench\": \"trace_overhead\", \"error\": \"run failed\"}\n");
     return 1;
@@ -90,11 +86,12 @@ int main() {
   double overhead_pct = noop_us > 0.0
                             ? (enabled_us - noop_us) / noop_us * 100.0
                             : 0.0;
+  const bool pass = overhead_pct < 5.0;
   std::printf(
       "{\"bench\": \"trace_overhead\", \"scenario\": \"cvm_conference\", "
       "\"repetitions\": %d, \"enabled_us\": %.2f, \"noop_us\": %.2f, "
       "\"overhead_pct\": %.2f, \"target_pct\": 5.0, \"pass\": %s}\n",
       kRepetitions, enabled_us, noop_us, overhead_pct,
-      overhead_pct < 5.0 ? "true" : "false");
-  return 0;
+      pass ? "true" : "false");
+  return pass ? 0 : 1;
 }

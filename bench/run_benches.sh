@@ -20,8 +20,10 @@
 # BENCH_<N>.json at the repo root for the change numbered N — or, with
 # --smoke, into the git-ignored BENCH_smoke.json, so a smoke run never
 # overwrites a committed trajectory file. Every bench gates through its
-# exit code: the first one that fails stops the run with its status and
-# no JSON is written.
+# exit code: the first one that fails is named on stderr with its
+# output, the run stops with its status, and no JSON is written. The JSON also records where the run came from:
+# the commit (plus whether the tree had uncommitted changes), the build
+# type from the build tree's CMake cache, nproc and the CPU model.
 #
 # Usage: bench/run_benches.sh [build-dir] (--pr N | --smoke)
 #   build-dir  defaults to <repo>/build
@@ -65,22 +67,49 @@ for binary in bench_throughput bench_im_generation bench_trace_overhead \
   fi
 done
 
+# Run one bench and print its JSON; a failed gate names the bench and
+# its output on stderr, and the run stops with the bench's status.
+run() {
+  local out status=0
+  out="$("$BENCH_DIR/$1" "${@:2}")" || status=$?
+  if [ "$status" != 0 ]; then
+    printf '%s failed (exit %s):\n%s\n' "$1" "$status" "$out" >&2
+    exit "$status"
+  fi
+  printf '%s' "$out"
+}
+
 if [ "$SMOKE" = 1 ]; then
-  throughput_json="$("$BENCH_DIR/bench_throughput" --smoke --json)"
-  im_json="$("$BENCH_DIR/bench_im_generation" --json --cycles 2000)"
-  resilience_json="$("$BENCH_DIR/bench_resilience" --smoke)"
-  overload_json="$("$BENCH_DIR/bench_overload" --smoke --json)"
-  ingress_json="$("$BENCH_DIR/bench_ingress" --smoke --json)"
-  cluster_json="$("$BENCH_DIR/bench_cluster" --smoke --json --min-scaling 2.5)"
+  throughput_json="$(run bench_throughput --smoke --json)"
+  im_json="$(run bench_im_generation --json --cycles 2000)"
+  resilience_json="$(run bench_resilience --smoke)"
+  overload_json="$(run bench_overload --smoke --json)"
+  ingress_json="$(run bench_ingress --smoke --json)"
+  cluster_json="$(run bench_cluster --smoke --json --min-scaling 2.5)"
 else
-  throughput_json="$("$BENCH_DIR/bench_throughput" --json)"
-  im_json="$("$BENCH_DIR/bench_im_generation" --json)"
-  resilience_json="$("$BENCH_DIR/bench_resilience")"
-  overload_json="$("$BENCH_DIR/bench_overload" --json)"
-  ingress_json="$("$BENCH_DIR/bench_ingress" --json)"
-  cluster_json="$("$BENCH_DIR/bench_cluster" --json)"
+  throughput_json="$(run bench_throughput --json)"
+  im_json="$(run bench_im_generation --json)"
+  resilience_json="$(run bench_resilience)"
+  overload_json="$(run bench_overload --json)"
+  ingress_json="$(run bench_ingress --json)"
+  cluster_json="$(run bench_cluster --json)"
 fi
-trace_json="$("$BENCH_DIR/bench_trace_overhead")"
+trace_json="$(run bench_trace_overhead)"
+
+commit="$(git -C "$ROOT" rev-parse HEAD 2>/dev/null || echo unknown)"
+dirty=null
+if [ "$commit" != unknown ]; then
+  if [ -n "$(git -C "$ROOT" status --porcelain)" ]; then
+    dirty=true
+  else
+    dirty=false
+  fi
+fi
+build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$BUILD/CMakeCache.txt" \
+               2>/dev/null || true)"
+# First "model name" line only, with JSON's quote and backslash escaped.
+cpu_model="$(sed -n 's/^model name[[:space:]]*: //;T;s/[\\"]/\\&/g;p;q' \
+               /proc/cpuinfo)"
 
 if [ "$SMOKE" = 1 ]; then
   OUT="$ROOT/BENCH_smoke.json"
@@ -91,6 +120,10 @@ fi
   printf '{\n'
   printf '  "pr": %s,\n' "${PR:-null}"
   printf '  "smoke": %s,\n' "$([ "$SMOKE" = 1 ] && echo true || echo false)"
+  printf '  "source": {"commit": "%s", "dirty": %s, "build_type": "%s"},\n' \
+    "$commit" "$dirty" "$build_type"
+  printf '  "machine": {"nproc": %s, "cpu_model": "%s"},\n' \
+    "$(nproc)" "$cpu_model"
   printf '  "throughput": %s,\n' "$throughput_json"
   printf '  "im_generation": %s,\n' "$im_json"
   printf '  "trace_overhead": %s,\n' "$trace_json"

@@ -190,7 +190,10 @@ struct ClusterDeployment {
 
   /// Deliver, pump every shard's replies, run the front-end's expiry
   /// housekeeping, repeat until `done`. `advance` > 0 moves the SimClock
-  /// each lap so reply timeouts (and therefore failover) can fire.
+  /// on a lap that finds nothing in flight, so reply timeouts (and
+  /// therefore failover) fire only for a message that really went
+  /// nowhere: the shards run in real time, and advancing the clock under
+  /// a slow live shard would time out a reply that was never lost.
   bool drive_until(const std::function<bool()>& done,
                    Duration advance = Duration{0}) {
     const auto wall_deadline =
@@ -203,10 +206,28 @@ struct ClusterDeployment {
       client->expire_overdue();
       network->run_until_idle();
       if (done()) return true;
-      if (advance.count() > 0) clock.advance(advance);
+      if (advance.count() > 0 && network->pending() == 0 && shards_idle()) {
+        clock.advance(advance);
+      }
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     return done();
+  }
+
+  /// Every live shard completed each request its ingress accepted (a
+  /// completed request's reply waits in the shard's manual reply loop
+  /// and is delivered on the next lap, before any expiry runs).
+  bool shards_idle() const {
+    for (const auto& node : nodes) {
+      if (!node->alive()) continue;
+      const auto snapshot = node->platform().metrics().snapshot();
+      if (snapshot.counter_value("ingress.accepted") !=
+          snapshot.counter_value("ingress.completed_ok") +
+              snapshot.counter_value("ingress.completed_error")) {
+        return false;
+      }
+    }
+    return true;
   }
 
   void shutdown() {
