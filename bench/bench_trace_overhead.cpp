@@ -3,9 +3,14 @@
 // tree + metrics recording active — vs the shared noop context, where
 // every observability operation early-returns.
 //
-// Acceptance target: enabling tracing costs < 5% median latency. Emits
-// one JSON object so CI can assert on it, and exits 1 when it prints
-// "pass": false.
+// Acceptance target: enabling tracing costs < 5% median latency. Each
+// repetition is one pair — a traced and a noop submit back to back, in
+// alternating order, each on a fresh platform — and the gate is the
+// median of the per-pair relative differences, so load drift that hits
+// both halves of a pair cancels instead of moving the verdict. The ratio
+// of the two independent medians is printed beside it (not gated).
+// Emits one JSON object so CI can assert on it, and exits 1 when it
+// prints "pass": false.
 #include <cstdio>
 #include <string_view>
 #include <vector>
@@ -20,7 +25,7 @@ using mdsm::SteadyClock;
 using mdsm::Stopwatch;
 
 constexpr int kWarmup = 5;
-constexpr int kRepetitions = 80;
+constexpr int kRepetitions = 400;
 
 constexpr std::string_view kConferenceModel = R"(
 model conference conforms cml
@@ -60,11 +65,9 @@ double time_one(bool traced) {
 }  // namespace
 
 int main() {
-  // Interleave the two variants (alternating order each repetition) so
-  // machine-load drift over the run hits both sample sets equally
-  // instead of masquerading as tracing overhead.
   std::vector<double> enabled_samples;
   std::vector<double> noop_samples;
+  std::vector<double> pair_overheads;  ///< (traced - noop) / noop per pair
   for (int rep = 0; rep < kWarmup + kRepetitions; ++rep) {
     const bool traced_first = (rep % 2) == 0;
     double first = time_one(traced_first);
@@ -74,24 +77,24 @@ int main() {
       return 1;
     }
     if (rep < kWarmup) continue;
-    enabled_samples.push_back(traced_first ? first : second);
-    noop_samples.push_back(traced_first ? second : first);
+    const double enabled = traced_first ? first : second;
+    const double noop = traced_first ? second : first;
+    enabled_samples.push_back(enabled);
+    noop_samples.push_back(noop);
+    if (noop > 0.0) pair_overheads.push_back((enabled - noop) / noop);
   }
-  double enabled_us = perfbench::median(enabled_samples);
-  double noop_us = perfbench::median(noop_samples);
-  if (enabled_us < 0.0 || noop_us < 0.0) {
-    std::printf("{\"bench\": \"trace_overhead\", \"error\": \"run failed\"}\n");
-    return 1;
-  }
-  double overhead_pct = noop_us > 0.0
-                            ? (enabled_us - noop_us) / noop_us * 100.0
-                            : 0.0;
+  const double enabled_us = perfbench::median(enabled_samples);
+  const double noop_us = perfbench::median(noop_samples);
+  const double overhead_pct = perfbench::median(pair_overheads) * 100.0;
+  const double median_ratio_pct =
+      noop_us > 0.0 ? (enabled_us - noop_us) / noop_us * 100.0 : 0.0;
   const bool pass = overhead_pct < 5.0;
   std::printf(
       "{\"bench\": \"trace_overhead\", \"scenario\": \"cvm_conference\", "
       "\"repetitions\": %d, \"enabled_us\": %.2f, \"noop_us\": %.2f, "
-      "\"overhead_pct\": %.2f, \"target_pct\": 5.0, \"pass\": %s}\n",
-      kRepetitions, enabled_us, noop_us, overhead_pct,
+      "\"overhead_pct\": %.2f, \"median_ratio_pct\": %.2f, "
+      "\"target_pct\": 5.0, \"pass\": %s}\n",
+      kRepetitions, enabled_us, noop_us, overhead_pct, median_ratio_pct,
       pass ? "true" : "false");
   return pass ? 0 : 1;
 }

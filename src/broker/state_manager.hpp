@@ -1,37 +1,31 @@
 // State Manager: "to store and manipulate the layer's runtime model"
 // (paper §V-A). Implements the models@runtime principle [16]: the layer
-// keeps a live Model reflecting the entities it manages, plus a scalar
-// variable store for cheap bookkeeping.
+// shares the committed runtime-model snapshot reflecting the entities it
+// manages, plus a scalar variable store for cheap bookkeeping.
 #pragma once
 
 #include <mutex>
-#include <optional>
 #include <string>
 
 #include "model/model.hpp"
 
 namespace mdsm::broker {
 
-/// Value accessors (set/get/has/erase and set_runtime_model) are safe
-/// under concurrent execution. The runtime_model() reference accessors
-/// hand out the stored model for in-place manipulation and are for
-/// quiescent use (tests, single-threaded domain code).
+/// Every accessor is safe under concurrent execution.
 class StateManager {
  public:
-  /// Install/replace the runtime model. Usually set by the platform
-  /// assembler with an empty model of the application DSML metamodel;
-  /// re-set on every commit by the synthesis model listener.
-  void set_runtime_model(model::Model model) {
+  /// Replace the runtime-model snapshot. The platform assembler installs
+  /// the synthesis engine's initial (empty) snapshot; the synthesis model
+  /// listener installs each newly committed one.
+  void set_runtime_model(model::ModelPtr model) {
     std::lock_guard lock(mutex_);
     runtime_model_ = std::move(model);
   }
-  [[nodiscard]] bool has_runtime_model() const {
+  /// The current snapshot (null until one is installed). A commit never
+  /// changes a snapshot a reader holds.
+  [[nodiscard]] model::ModelPtr runtime_model() const {
     std::lock_guard lock(mutex_);
-    return runtime_model_.has_value();
-  }
-  [[nodiscard]] model::Model& runtime_model() { return *runtime_model_; }
-  [[nodiscard]] const model::Model& runtime_model() const {
-    return *runtime_model_;
+    return runtime_model_;
   }
 
   /// Scalar state variables (session counters, flags, ...).
@@ -66,7 +60,7 @@ class StateManager {
 
  private:
   mutable std::mutex mutex_;
-  std::optional<model::Model> runtime_model_;
+  model::ModelPtr runtime_model_;
   std::map<std::string, model::Value, std::less<>> variables_;
 };
 

@@ -182,13 +182,14 @@ Result<std::unique_ptr<Platform>> Platform::assemble(
         synthesis->handle_controller_event(event.topic, event.payload);
       });
 
-  // models@runtime at the broker layer: the State Manager mirrors the
-  // committed application model so broker-level introspection (and
-  // autonomic rules in future) can consult it.
+  // models@runtime at the broker layer: the State Manager shares the
+  // committed application-model snapshot so broker-level introspection
+  // (and autonomic rules in future) can consult it.
   broker::BrokerLayer* broker = platform->broker_.get();
+  broker->state().set_runtime_model(platform->synthesis_->runtime_snapshot());
   platform->synthesis_->set_model_listener(
-      [broker](const model::Model& committed) {
-        broker->state().set_runtime_model(committed.clone());
+      [broker](const model::ModelPtr& committed) {
+        broker->state().set_runtime_model(committed);
       });
 
   return platform;
@@ -289,8 +290,6 @@ Status Platform::load_broker_spec(const model::Model& middleware_model,
           broker_->set_invocation_policy(resource_name, std::move(policy)));
     }
   }
-  // The broker keeps the application runtime model (models@runtime).
-  broker_->state().set_runtime_model(model::Model("runtime", dsml_));
   return Status::Ok();
 }
 
@@ -866,24 +865,27 @@ model::Value pack_scalar_map(const Map& map) {
   return model::Value(std::move(out));
 }
 
-/// Visit a [[key, value], ...] section (absent section = empty).
-template <typename Apply>
-Status each_checkpoint_pair(const model::Value* section,
-                            std::string_view what, Apply&& apply) {
-  if (section == nullptr) return Status::Ok();
+using CheckpointPairs = std::vector<std::pair<std::string, model::Value>>;
+
+/// Decode the [[key, value], ...] section `what` (absent section = empty).
+Result<CheckpointPairs> checkpoint_pairs(const model::ValueList& entries,
+                                         std::string_view what) {
+  const model::Value* section = find_checkpoint_entry(entries, what);
+  if (section == nullptr) return CheckpointPairs{};
   if (!section->is_list()) {
     return InvalidArgument("checkpoint section '" + std::string(what) +
                            "' must be a list of [key, value] pairs");
   }
+  CheckpointPairs pairs;
   for (const model::Value& entry : section->as_list()) {
     if (!entry.is_list() || entry.as_list().size() != 2 ||
         !entry.as_list()[0].is_string()) {
       return InvalidArgument("checkpoint section '" + std::string(what) +
                              "' holds a malformed [key, value] pair");
     }
-    apply(entry.as_list()[0].as_string(), entry.as_list()[1]);
+    pairs.emplace_back(entry.as_list()[0].as_string(), entry.as_list()[1]);
   }
-  return Status::Ok();
+  return pairs;
 }
 
 }  // namespace
@@ -932,47 +934,38 @@ Status Platform::import_session_state(const model::Value& state) {
   if (model_text == nullptr || !model_text->is_string()) {
     return InvalidArgument("session checkpoint carries no runtime model");
   }
+  // Decode every section before adopting any, so a rejected checkpoint
+  // leaves the platform unchanged.
   Result<model::Model> checkpointed =
       model::parse_model(model_text->as_string(), dsml_);
   if (!checkpointed.ok()) return checkpointed.status();
-  std::map<std::string, std::string, std::less<>> lts_states;
-  if (const model::Value* lts = find_checkpoint_entry(entries, "lts_states");
-      lts != nullptr) {
-    if (!lts->is_list()) {
-      return InvalidArgument("checkpoint lts_states must be a list");
-    }
-    for (const model::Value& entry : lts->as_list()) {
-      if (!entry.is_list() || entry.as_list().size() != 2 ||
-          !entry.as_list()[0].is_string() ||
-          !entry.as_list()[1].is_string()) {
-        return InvalidArgument(
-            "checkpoint lts_states entries must be [id, state] string "
-            "pairs");
-      }
-      lts_states[entry.as_list()[0].as_string()] =
-          entry.as_list()[1].as_string();
-    }
+  Result<CheckpointPairs> lts = checkpoint_pairs(entries, "lts_states");
+  Result<CheckpointPairs> memory = checkpoint_pairs(entries, "memory");
+  Result<CheckpointPairs> context = checkpoint_pairs(entries, "context");
+  Result<CheckpointPairs> broker = checkpoint_pairs(entries, "broker");
+  for (const auto* section : {&lts, &memory, &context, &broker}) {
+    if (!section->ok()) return section->status();
   }
-  // Adopt model + LTS states first (validates conformance; fires the
-  // model listener so the broker's runtime-model mirror converges). On
-  // failure nothing below has been touched.
+  std::map<std::string, std::string, std::less<>> lts_states;
+  for (const auto& [object_id, state] : lts.value()) {
+    if (!state.is_string()) {
+      return InvalidArgument(
+          "checkpoint lts_states entries must be [id, state] string pairs");
+    }
+    lts_states[object_id] = state.as_string();
+  }
+  // The model conformance check is the last one that can refuse; it
+  // fires the model listener so the broker's runtime-model mirror
+  // converges.
   MDSM_RETURN_IF_ERROR(synthesis_->restore_state(
       std::move(checkpointed.value()), std::move(lts_states)));
-  MDSM_RETURN_IF_ERROR(each_checkpoint_pair(
-      find_checkpoint_entry(entries, "memory"), "memory",
-      [this](const std::string& key, const model::Value& value) {
-        controller_->engine().set_memory(key, value);
-      }));
-  MDSM_RETURN_IF_ERROR(each_checkpoint_pair(
-      find_checkpoint_entry(entries, "context"), "context",
-      [this](const std::string& key, const model::Value& value) {
-        context_.set(key, value);
-      }));
-  MDSM_RETURN_IF_ERROR(each_checkpoint_pair(
-      find_checkpoint_entry(entries, "broker"), "broker",
-      [this](const std::string& key, const model::Value& value) {
-        broker_->state().set(key, value);
-      }));
+  for (const auto& [key, value] : memory.value()) {
+    controller_->engine().set_memory(key, value);
+  }
+  for (const auto& [key, value] : context.value()) context_.set(key, value);
+  for (const auto& [key, value] : broker.value()) {
+    broker_->state().set(key, value);
+  }
   counters_.session_states_imported.add();
   return Status::Ok();
 }

@@ -168,4 +168,7 @@ class Model {
   std::vector<std::string> order_;  ///< creation order of ids
 };
 
+/// A published model snapshot: shared by its readers, never mutated.
+using ModelPtr = std::shared_ptr<const Model>;
+
 }  // namespace mdsm::model

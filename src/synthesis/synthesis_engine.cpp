@@ -13,7 +13,7 @@ SynthesisEngine::SynthesisEngine(std::string name, model::MetamodelPtr dsml,
       lts_(std::move(lts)),
       interpreter_(lts_, dsml, context),
       dispatch_(std::move(dispatch)),
-      runtime_model_("runtime", dsml) {}
+      runtime_model_(std::make_shared<const model::Model>("runtime", dsml)) {}
 
 Result<controller::ControlScript> SynthesisEngine::submit_model(
     model::Model new_model, obs::RequestContext& context) {
@@ -60,11 +60,14 @@ Result<controller::ControlScript> SynthesisEngine::commit_core(
     metrics_->rejected.add();
     return valid;
   }
+  // Declared before the lock, so a refused model and the snapshot a
+  // commit replaces are both freed after the serial section.
+  auto next = std::make_shared<const model::Model>(std::move(new_model));
   Result<controller::ControlScript> script = InvalidArgument("unreachable");
   {
     std::lock_guard lock(mutex_);
     // Model comparator.
-    model::ChangeList changes = model::diff(runtime_model_, new_model);
+    model::ChangeList changes = model::diff(*runtime_model_, *next);
     log_debug("synthesis") << name() << ": " << changes.size()
                            << " change(s) between runtime and new model";
     // Change interpreter. Interpreter state mutates as transitions fire;
@@ -72,7 +75,7 @@ Result<controller::ControlScript> SynthesisEngine::commit_core(
     // but interpreter states may have advanced — domains treat
     // interpretation errors as fatal configuration bugs, matching the
     // paper's assumption that LTSs fully cover their DSML.
-    script = interpreter_.interpret(changes, new_model);
+    script = interpreter_.interpret(changes, *next);
     if (!script.ok()) {
       metrics_->rejected.add();
       return script;
@@ -87,10 +90,14 @@ Result<controller::ControlScript> SynthesisEngine::commit_core(
     }
     metrics_->scripts.add();
     metrics_->commands.add(script->commands.size());
-    runtime_model_ = std::move(new_model);
-    if (listener_ != nullptr) listener_(runtime_model_);
+    publish(next);
   }
   return script;
+}
+
+void SynthesisEngine::publish(model::ModelPtr& next) {
+  std::swap(runtime_model_, next);
+  if (listener_ != nullptr) listener_(runtime_model_);
 }
 
 void SynthesisEngine::handle_controller_event(const std::string& topic,
@@ -100,16 +107,24 @@ void SynthesisEngine::handle_controller_event(const std::string& topic,
   event_log_.push_back(topic + ": " + payload.to_text());
 }
 
-std::string SynthesisEngine::runtime_model_text() const {
+model::ModelPtr SynthesisEngine::runtime_snapshot() const {
   std::lock_guard lock(mutex_);
-  return model::serialize_model(runtime_model_);
+  return runtime_model_;
+}
+
+std::string SynthesisEngine::runtime_model_text() const {
+  return model::serialize_model(*runtime_snapshot());
 }
 
 SynthesisEngine::ExportedState SynthesisEngine::export_state() const {
-  std::lock_guard lock(mutex_);
   ExportedState out;
-  out.runtime_model_text = model::serialize_model(runtime_model_);
-  out.lts_states = interpreter_.states();
+  model::ModelPtr snapshot;
+  {
+    std::lock_guard lock(mutex_);
+    snapshot = runtime_model_;
+    out.lts_states = interpreter_.states();
+  }
+  out.runtime_model_text = model::serialize_model(*snapshot);
   return out;
 }
 
@@ -123,10 +138,11 @@ Status SynthesisEngine::restore_state(
   }
   Status valid = runtime_model.validate();
   if (!valid.ok()) return valid;
+  // Declared before the lock: it comes back holding the replaced snapshot.
+  auto next = std::make_shared<const model::Model>(std::move(runtime_model));
   std::lock_guard lock(mutex_);
-  runtime_model_ = std::move(runtime_model);
   interpreter_.restore_states(std::move(lts_states));
-  if (listener_ != nullptr) listener_(runtime_model_);
+  publish(next);
   return Status::Ok();
 }
 

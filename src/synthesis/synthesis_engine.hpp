@@ -12,13 +12,14 @@
 // mutex. Everything after the commit (the executor hook, i.e. actual
 // controller/broker execution) runs *outside* that mutex, which is what
 // lets independent requests overlap: the serial window is only the model
-// swap, not the work.
+// swap, not the work. The committed model is published once per commit
+// as an immutable snapshot (model::ModelPtr); readers share it, and it is
+// serialized and freed outside the mutex.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,9 +44,11 @@ class SynthesisEngine final : public runtime::Component {
   /// request's span tree.
   using Dispatch = std::function<Status(const controller::ControlScript&,
                                         obs::RequestContext&)>;
-  /// Listener invoked with the updated runtime model after a successful
-  /// submission ("dispatches a new runtime model to the UI").
-  using ModelListener = std::function<void(const model::Model&)>;
+  /// Listener invoked with the newly published runtime-model snapshot
+  /// ("dispatches a new runtime model to the UI"). It runs under the
+  /// serial mutex, so listeners see snapshots in commit order; keep it to
+  /// a pointer store.
+  using ModelListener = std::function<void(const model::ModelPtr&)>;
 
   SynthesisEngine(std::string name, model::MetamodelPtr dsml, Lts lts,
                   const policy::ContextStore& context, Dispatch dispatch);
@@ -104,34 +107,38 @@ class SynthesisEngine final : public runtime::Component {
   void handle_controller_event(const std::string& topic,
                                const model::Value& payload);
 
-  /// Reference to the committed runtime model. Only meaningful while no
-  /// submission is in flight; concurrent readers should use
-  /// runtime_model_text() instead.
-  [[nodiscard]] const model::Model& runtime_model() const noexcept {
-    return runtime_model_;
+  /// Reference into the current snapshot; it stays valid only until the
+  /// next commit replaces that snapshot. Concurrent readers hold
+  /// runtime_snapshot() instead.
+  [[nodiscard]] const model::Model& runtime_model() const {
+    return *runtime_snapshot();
   }
-  /// Serialized runtime model, captured under the engine's mutex — the
-  /// race-free way to observe the model while submissions are running.
+  /// The committed runtime model: an immutable snapshot that no later
+  /// commit changes.
+  [[nodiscard]] model::ModelPtr runtime_snapshot() const;
+  /// Serialized current snapshot (serialized outside the engine's mutex).
   [[nodiscard]] std::string runtime_model_text() const;
   [[nodiscard]] const ChangeInterpreter& interpreter() const noexcept {
     return interpreter_;
   }
   [[nodiscard]] std::vector<std::string> event_log() const;
 
-  /// Atomic export of the synthesis-layer session state: the serialized
-  /// runtime model and every tracked LTS state, captured under ONE hold
-  /// of the serial mutex so the pair is mutually consistent even while
-  /// submissions are racing. This is the checkpoint payload.
+  /// Atomic export of the synthesis-layer session state: the runtime
+  /// snapshot and every tracked LTS state, captured under ONE hold of the
+  /// serial mutex so the pair is mutually consistent even while
+  /// submissions are racing, then serialized after it is released. This
+  /// is the checkpoint payload.
   struct ExportedState {
     std::string runtime_model_text;
     std::map<std::string, std::string, std::less<>> lts_states;
   };
   [[nodiscard]] ExportedState export_state() const;
 
-  /// Inverse of export_state(): swap in `runtime_model` as the committed
-  /// model and replace the interpreter's LTS states wholesale, then fire
-  /// the model listener so downstream mirrors (broker runtime model)
-  /// converge. The model must conform to this engine's DSML.
+  /// Inverse of export_state(): publish `runtime_model` as the committed
+  /// snapshot and replace the interpreter's LTS states wholesale, firing
+  /// the model listener like a commit so downstream mirrors (broker
+  /// runtime model) converge. The model must conform to this engine's
+  /// DSML.
   Status restore_state(
       model::Model runtime_model,
       std::map<std::string, std::string, std::less<>> lts_states);
@@ -141,6 +148,10 @@ class SynthesisEngine final : public runtime::Component {
   /// submit_model()/commit_model() (everything except the executor hook).
   Result<controller::ControlScript> commit_core(model::Model new_model,
                                                 obs::RequestContext& context);
+  /// Swap `next` in as the committed snapshot and fire the listener;
+  /// mutex_ held. `next` comes back holding the replaced snapshot, which
+  /// the caller drops after unlocking.
+  void publish(model::ModelPtr& next);
 
   model::MetamodelPtr dsml_;
   Lts lts_;
@@ -159,10 +170,10 @@ class SynthesisEngine final : public runtime::Component {
   Dispatch executor_;
   ModelListener listener_;
   /// Serializes diff → interpret → dispatch → commit → listener. Also
-  /// guards runtime_model_ and the interpreter's LTS state.
+  /// guards the runtime_model_ pointer and the interpreter's LTS state.
   mutable std::mutex mutex_;
-  model::Model runtime_model_;  ///< "an empty model if the system has
-                                ///< just been started"
+  model::ModelPtr runtime_model_;  ///< "an empty model if the system has
+                                   ///< just been started"
   mutable std::mutex event_mutex_;  ///< guards event_log_ only
   std::vector<std::string> event_log_;
 };

@@ -415,7 +415,7 @@ TEST_F(BrokerFixture, ChaosAdapterForwardsInnerEventsAndName) {
 
 TEST(StateManager, RuntimeModelAndVariables) {
   StateManager state;
-  EXPECT_FALSE(state.has_runtime_model());
+  EXPECT_EQ(state.runtime_model(), nullptr);
   state.set("k", Value(3));
   EXPECT_TRUE(state.has("k"));
   EXPECT_EQ(state.get("k"), Value(3));

@@ -321,12 +321,13 @@ TEST_F(PlatformFixture, BrokerStateManagerMirrorsRuntimeModel) {
                   ->submit_model_text("model app conforms testlang\n"
                                       "object Session s1 { state = open }\n")
                   .ok());
-  // models@runtime at the broker layer: the state manager holds a copy
-  // of the committed application model.
-  ASSERT_TRUE(platform->broker().state().has_runtime_model());
-  const model::Model& mirror = platform->broker().state().runtime_model();
-  ASSERT_NE(mirror.find("s1"), nullptr);
-  EXPECT_EQ(mirror.find("s1")->get_string("state"), "open");
+  // models@runtime at the broker layer: the state manager shares the
+  // committed application-model snapshot.
+  const model::ModelPtr mirror = platform->broker().state().runtime_model();
+  ASSERT_NE(mirror, nullptr);
+  EXPECT_EQ(mirror, platform->synthesis().runtime_snapshot());
+  ASSERT_NE(mirror->find("s1"), nullptr);
+  EXPECT_EQ(mirror->find("s1")->get_string("state"), "open");
 }
 
 TEST_F(PlatformFixture, BadApplicationModelTextIsParseError) {

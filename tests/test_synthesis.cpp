@@ -171,11 +171,12 @@ TEST_F(SynthesisFixture, DispatchFailureKeepsOldModel) {
 }
 
 TEST_F(SynthesisFixture, ModelListenerSeesCommittedModel) {
-  std::string seen;
-  engine.set_model_listener(
-      [&](const model::Model& m) { seen = m.name(); });
+  model::ModelPtr seen;
+  engine.set_model_listener([&](const model::ModelPtr& m) { seen = m; });
   ASSERT_TRUE(engine.submit_model(base_model("committed")).ok());
-  EXPECT_EQ(seen, "committed");
+  ASSERT_NE(seen, nullptr);
+  EXPECT_EQ(seen->name(), "committed");
+  EXPECT_EQ(seen, engine.runtime_snapshot());
 }
 
 TEST_F(SynthesisFixture, IdenticalResubmissionDispatchesNothing) {
