@@ -313,7 +313,7 @@ Metamodel build() {
                           .default_value = Value(0)});
   platform.add_attribute({.name = "overflow_policy",
                           .type = AttrType::kEnum,
-                          .enum_literals = {"reject", "block", "shed-oldest"},
+                          .enum_literals = {"reject", "shed-oldest"},
                           .default_value = Value("reject")});
   platform.add_attribute({.name = "admission",
                           .type = AttrType::kBool,

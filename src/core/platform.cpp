@@ -58,9 +58,8 @@ Result<std::unique_ptr<Platform>> Platform::assemble(
       static_cast<std::size_t>(root.get_int("queue_capacity", 0));
   const std::string overflow = root.get_string("overflow_policy", "reject");
   platform->pipeline_config_.overflow_policy =
-      overflow == "block"         ? runtime::OverflowPolicy::kBlock
-      : overflow == "shed-oldest" ? runtime::OverflowPolicy::kShedOldest
-                                  : runtime::OverflowPolicy::kReject;
+      overflow == "shed-oldest" ? runtime::OverflowPolicy::kShedOldest
+                                : runtime::OverflowPolicy::kReject;
   AdmissionConfig admission_config;
   admission_config.enabled = root.get_bool("admission", false);
   admission_config.ewma_alpha = root.get_real("admission_alpha", 0.2);
@@ -158,14 +157,19 @@ Result<std::unique_ptr<Platform>> Platform::assemble(
       [](const controller::ControlScript&, obs::RequestContext& request) {
         return request.check_deadline("controller");
       });
-  // Post-commit execution — the parallel phase. execute_script opens the
+  // Post-commit execution — the parallel phase. The controller opens the
   // "controller.script" span covering every command plus the drain of the
-  // events they raised, nested (like the old in-dispatch crossing) under
-  // the request's "synthesis.submit" span.
+  // events they raised, nested under the request's "synthesis.submit"
+  // span. The blocking leaf is the sync entry; the other one may park.
   platform->synthesis_->set_executor(
       [controller](const controller::ControlScript& script,
-                   obs::RequestContext& request) {
-        return controller->execute_script(script, request);
+                   obs::RequestContext& request, bool blocking,
+                   std::function<void(Status)> done) {
+        if (blocking) {
+          done(controller->execute_script(script, request));
+          return;
+        }
+        controller->execute_script_async(script, request, std::move(done));
       });
 
   // Every layer records into the platform-wide registry (stable address:
@@ -418,9 +422,7 @@ Status Platform::stop() {
 
 Result<controller::ControlScript> Platform::submit_model_text(
     std::string_view text, obs::RequestContext& context) {
-  Result<model::Model> application_model = model::parse_model(text, dsml_);
-  if (!application_model.ok()) return application_model.status();
-  return submit_model(std::move(application_model.value()), context);
+  return submit_inline(text, context, context.remote_id());
 }
 
 Result<controller::ControlScript> Platform::submit_model_text(
@@ -450,38 +452,14 @@ Result<controller::ControlScript> Platform::submit_woven(
 
 Result<controller::ControlScript> Platform::submit_model(
     model::Model application_model, obs::RequestContext& context) {
-  // No global submit lock: submissions run concurrently. The only serial
-  // section is the synthesis model swap (diff→interpret→commit, under the
-  // synthesis engine's mutex); classification, IM generation, and
-  // controller/broker execution overlap across requests. The guard
-  // registers this submission before the running_ check so stop() either
-  // rejects us or waits for us — never tears us mid-pipeline.
-  InflightGuard inflight(*this);
-  // UI-layer crossing: the root span of the request's trace. The scope
-  // makes the context ambient so bus events published anywhere below are
-  // stamped with this request's id.
-  obs::ContextScope ambient(context);
-  obs::ScopedSpan span(context, "ui.submit", application_model.name());
-  counters_.submitted.add();
-  auto fail = [this](Status status) -> Result<controller::ControlScript> {
-    counters_.failed.add();
-    return status;
-  };
-  if (Status gate = ui_gate(context); !gate.ok()) {
-    return fail(std::move(gate));
-  }
-  Result<controller::ControlScript> script =
-      synthesis_->submit_model(std::move(application_model), context);
-  // Feed the admission EWMA with the observed end-to-end latency (queue
-  // delay included — async contexts are minted at enqueue). Failures
-  // consumed pipeline time all the same, so they count too; admission
-  // sheds never reach this line.
-  admission_.record_latency(context.elapsed());
-  if (!script.ok()) return fail(script.status());
-  if (Status late = reject_late_success(context); !late.ok()) {
-    return fail(std::move(late));
-  }
-  return script;
+  const std::string name = application_model.name();
+  return submit_inline(std::move(application_model), context, name);
+}
+
+Result<controller::ControlScript> Platform::submit_model(
+    model::Model application_model) {
+  last_context_ = std::make_unique<obs::RequestContext>(*clock_, &metrics_);
+  return submit_model(std::move(application_model), *last_context_);
 }
 
 Status Platform::ui_gate(obs::RequestContext& context) {
@@ -498,16 +476,6 @@ Status Platform::ui_gate(obs::RequestContext& context) {
   return context.check_deadline("ui");
 }
 
-Status Platform::reject_late_success(obs::RequestContext& context) {
-  // Overload contract: a success the caller's budget can no longer use
-  // is delivered as kTimeout, never as a late Ok. The pre-stage gates
-  // make this rare — it fires only when the final pipeline stage itself
-  // crossed the deadline.
-  if (!context.expired()) return Status::Ok();
-  counters_.completed_late.add();
-  return Timeout(context.tag() + " completed after its deadline");
-}
-
 void Platform::ensure_pipeline() {
   std::lock_guard lock(pipeline_mutex_);
   if (pipeline_ != nullptr) return;
@@ -519,14 +487,12 @@ void Platform::ensure_pipeline() {
   pipeline_ = std::make_unique<runtime::Executor>(config);
   pipeline_->set_metrics(&metrics_);
   pipeline_->set_clock(clock_);
-  // The staged core: logical per-stage queues over the shared executor,
-  // plus the event loop that parks requests between stages.
+  // The staged core: the entry stage and the resume stage over the shared
+  // executor, plus the event loop that parked requests wait on.
   stages_ = std::make_unique<runtime::StagePipeline>(*pipeline_, *clock_,
                                                      &metrics_);
   stage_synthesis_ = stages_->add_stage("synthesis");
-  stage_controller_ = stages_->add_stage("controller");
   stage_broker_ = stages_->add_stage("broker");
-  stage_complete_ = stages_->add_stage("complete");
   runtime::EventLoopConfig loop_config;
   loop_config.clock = clock_;
   loop_config.threaded = !manual_loop_;
@@ -550,74 +516,96 @@ void Platform::ensure_pipeline() {
       });
 }
 
-// ---- staged pipeline (PR 6) ------------------------------------------
+// ---- the request driver ------------------------------------------------
 //
-// A request is not a worker held end-to-end: it is a StagedRequest
-// hopping synthesis → controller → broker → complete as continuations,
-// parking on the event loop whenever the broker backs off or an attempt
-// overruns. Ownership discipline: exactly one continuation "holds" the
-// request (and may touch its trace) at a time; the deadline watchdog — the
-// only concurrent party — flips `resolved` and invokes the callback but
-// NEVER touches the trace. The chain observes `resolved` at its next
-// touch, closes the spans and releases the inflight slot, so stop() still
-// waits out every admitted request and no span is written concurrently.
+// Every entry runs one driver: UI gate → parse → synthesis submit (the
+// commit, then the controller/broker chain) → finish (late-success gate,
+// callback). The sync entries run it in blocking mode, so every leaf
+// settles inline.
+// submit_async runs it from one entry task on the `synthesis` stage; from
+// there the chain runs to completion on whichever thread settles each
+// leaf, and goes back to the executor only when a parked broker call
+// resumes (through the `broker` stage). A sync request lives in its
+// caller's frame; an async one is shared by its entry task, the parked
+// chain, the watchdog and the shed hook. Ownership discipline: exactly one
+// thread holds the request (and may touch its trace) at a time; the
+// deadline watchdog — the only concurrent party — flips `resolved` and
+// invokes the callback but NEVER touches the trace. The chain still runs
+// to its end, where finish() closes the spans and releases the inflight
+// slot, so stop() waits out every admitted request and no span is written
+// concurrently.
 
-struct Platform::StagedRequest {
-  std::shared_ptr<obs::RequestContext> context;
-  std::string text;
+struct Platform::Request {
+  obs::RequestContext* context = nullptr;
+  /// The context submit_async minted (sync callers own theirs).
+  std::shared_ptr<obs::RequestContext> owned_context;
   SubmitCallback callback;
-  controller::ControlScript script;  ///< commit result, delivered at the end
-  std::uint64_t root_span = 0;       ///< "ui.submit", closed by the chain
-  std::uint64_t queue_span = 0;      ///< "runtime.queue", closed at stage 1
-  std::uint64_t watchdog = 0;        ///< deadline timer id (0 = none)
+  std::uint64_t root_span = 0;   ///< "ui.submit", closed by finish()
+  std::uint64_t queue_span = 0;  ///< "runtime.queue", closed by the entry task
+  std::uint64_t watchdog = 0;    ///< deadline timer id (0 = none)
   std::atomic<bool> resolved{false};
   /// True once real pipeline work began (set just before the synthesis
-  /// commit). Only executed requests feed the admission EWMA: a burst of
-  /// fast door refusals (admission re-check, deadline check, parse
-  /// errors) must not drag the latency prediction down and re-admit
-  /// doomed work. Written and read on the chain only.
+  /// submit). Only executed requests feed the admission EWMA: a burst of
+  /// fast refusals (admission re-check, deadline check, parse errors)
+  /// must not drag the latency prediction down and re-admit doomed work.
   bool executed = false;
   std::optional<InflightGuard> inflight;
 };
 
+Result<controller::ControlScript> Platform::submit_inline(
+    Submission submission, obs::RequestContext& context,
+    std::string_view detail) {
+  Request request;
+  // The inflight slot registers before the gate's running_ check: stop()
+  // either rejects this request or waits for it — never tears it.
+  request.inflight.emplace(*this);
+  request.context = &context;
+  // UI-layer crossing: the root span of the request's trace.
+  request.root_span = context.open_span("ui.submit", detail);
+  return settle_inline<Result<controller::ControlScript>>(
+      [&](SubmitCallback done) {
+        request.callback = std::move(done);
+        drive(request, std::move(submission), nullptr);
+      });
+}
+
 Status Platform::submit_async(std::string text, SubmitCallback callback,
                               SubmitOptions options) {
-  auto request = std::make_shared<StagedRequest>();
+  auto request = std::make_shared<Request>();
   // The inflight slot registers before the running_ check (same rule as
-  // submit_model): stop() either rejects this request or waits for it.
+  // the sync entries): stop() either rejects this request or waits for it.
   request->inflight.emplace(*this);
   if (!running_.load(std::memory_order_acquire)) {
     return FailedPrecondition("platform '" + name_ + "' is not started");
   }
   ensure_pipeline();
-  request->context = std::make_shared<obs::RequestContext>(*clock_, &metrics_,
-                                                           options.deadline);
-  if (options.high_priority) {
-    request->context->set_attribute("priority", "high");
-  }
+  request->owned_context = std::make_shared<obs::RequestContext>(
+      *clock_, &metrics_, options.deadline);
+  obs::RequestContext& context = *request->owned_context;
+  request->context = &context;
+  if (options.high_priority) context.set_attribute("priority", "high");
   for (auto& [key, value] : options.attributes) {
-    request->context->set_attribute(key, value);
+    context.set_attribute(key, value);
   }
   // Enqueue-time admission: refuse doomed work before it costs a queue
-  // slot. The synthesis stage re-checks after queue delay.
-  if (Status admitted = admission_.admit(*request->context); !admitted.ok()) {
+  // slot. The driver's UI gate re-checks after queue delay.
+  if (Status admitted = admission_.admit(context); !admitted.ok()) {
     return admitted;
   }
-  request->text = std::move(text);
   request->callback = std::move(callback);
-  // One root span for the whole staged traversal — every stage, park and
-  // resume nests under it, so the trace stays a single tree no matter
-  // how many workers the request visits. A request that crossed the wire
-  // carries the sender's id as the span detail, keeping remote and local
-  // trace trees correlated.
-  const std::string_view remote = request->context->remote_id();
-  request->root_span = request->context->open_span(
+  // One root span for the whole traversal — every layer, park and resume
+  // nests under it, so the trace stays a single tree no matter how many
+  // threads the request visits. A request that crossed the wire carries
+  // the sender's id as the span detail, keeping remote and local trace
+  // trees correlated.
+  const std::string_view remote = context.remote_id();
+  request->root_span = context.open_span(
       "ui.submit", remote.empty() ? std::string_view("staged") : remote);
-  request->queue_span = request->context->open_span("runtime.queue");
+  request->queue_span = context.open_span("runtime.queue");
   // Deadline watchdog: a request whose budget expires while parked
-  // between stages resolves with kTimeout *when it expires*, not when
-  // some stage eventually notices. The loser of the resolved race only
-  // counts; the chain does the trace/inflight cleanup at its next touch.
+  // resolves with kTimeout *when it expires*, not when some layer
+  // eventually notices. The loser of the resolved race only counts; the
+  // chain does the trace/inflight cleanup in finish().
   if (options.deadline.has_value()) {
     request->watchdog = loop_->schedule(
         std::max<Duration>(*options.deadline, Duration(0)), [this, request] {
@@ -632,11 +620,10 @@ Status Platform::submit_async(std::string text, SubmitCallback callback,
         });
   }
   runtime::StagePipeline::SubmitOptions stage_options;
-  stage_options.lane = request->context->high_priority()
-                           ? runtime::TaskLane::kHigh
-                           : runtime::TaskLane::kNormal;
+  stage_options.lane = context.high_priority() ? runtime::TaskLane::kHigh
+                                               : runtime::TaskLane::kNormal;
   // kShedOldest victims resolve their callback exactly once, then the
-  // shed handler (chain owner: the request never started) closes out.
+  // shed handler (the request never started) closes out.
   stage_options.on_shed = [this, request] {
     const bool won =
         !request->resolved.exchange(true, std::memory_order_acq_rel);
@@ -651,136 +638,98 @@ Status Platform::submit_async(std::string text, SubmitCallback callback,
     request->inflight.reset();
   };
   Status submitted = stages_->submit(
-      stage_synthesis_, [this, request] { stage_synthesis(request); },
+      stage_synthesis_,
+      [this, request, text = std::move(text)] {
+        request->context->close_span(request->queue_span);
+        if (request->resolved.load(std::memory_order_acquire)) {
+          // The watchdog timed the request out while it queued: close out
+          // without running it (the watchdog already answered).
+          finish(*request, Timeout(request->context->tag() +
+                                   " deadline expired in the queue"));
+          return;
+        }
+        drive(*request, std::string_view(text), request);
+      },
       stage_options);
   if (!submitted.ok()) {
     // Door refusal (kReject/full queue): undo — no callback, the caller
     // gets the status.
-    request->context->close_span(request->root_span);
+    context.close_span(request->root_span);
     if (request->watchdog != 0) loop_->cancel(request->watchdog);
     return submitted;
   }
   return Status::Ok();
 }
 
-bool Platform::staged_abandoned(const std::shared_ptr<StagedRequest>& request) {
-  if (!request->resolved.load(std::memory_order_acquire)) return false;
-  // The watchdog already delivered kTimeout; the chain owns the trace,
-  // so the close-out happens here, at its next touch.
-  if (request->executed) {
-    admission_.record_latency(request->context->elapsed());
+void Platform::drive(Request& request, Submission submission,
+                     std::shared_ptr<Request> owner) {
+  obs::RequestContext& context = *request.context;
+  // The scope makes the context ambient so bus events published anywhere
+  // below are stamped with this request's id.
+  obs::ContextScope ambient(context);
+  counters_.submitted.add();
+  if (Status gate = ui_gate(context); !gate.ok()) {
+    finish(request, std::move(gate));
+    return;
   }
-  request->context->close_span(request->root_span);
-  request->inflight.reset();
-  return true;
+  Result<model::Model> application_model =
+      std::holds_alternative<model::Model>(submission)
+          ? Result<model::Model>(std::get<model::Model>(std::move(submission)))
+          : model::parse_model(std::get<std::string_view>(submission), dsml_);
+  if (!application_model.ok()) {
+    finish(request, application_model.status());
+    return;
+  }
+  request.executed = true;
+  model::Model committed = std::move(application_model.value());
+  // The leaf: a blocking submit settles before returning, so the
+  // continuation borrows the caller's request; a parking one holds it.
+  if (owner == nullptr) {
+    synthesis_->submit(std::move(committed), context, /*blocking=*/true,
+                       [this, &request](Result<controller::ControlScript> r) {
+                         finish(request, std::move(r));
+                       });
+    return;
+  }
+  synthesis_->submit(std::move(committed), context, /*blocking=*/false,
+                     [this, owner](Result<controller::ControlScript> r) {
+                       finish(*owner, std::move(r));
+                     });
 }
 
-void Platform::finish_staged(const std::shared_ptr<StagedRequest>& request,
-                             Result<controller::ControlScript> outcome) {
+void Platform::finish(Request& request,
+                      Result<controller::ControlScript> outcome) {
+  obs::RequestContext& context = *request.context;
   // Feed the admission EWMA with the observed end-to-end latency (queue
-  // and park time included — the context was minted at enqueue), but
+  // and park time included — async contexts are minted at enqueue), but
   // only for requests that actually ran the pipeline: shed and refused
   // requests resolve in microseconds and would poison the prediction.
-  if (request->executed) {
-    admission_.record_latency(request->context->elapsed());
-  }
-  if (!outcome.ok()) counters_.failed.add();
+  if (request.executed) admission_.record_latency(context.elapsed());
+  // Once the watchdog has answered, the outcome goes nowhere and counts
+  // nowhere.
   const bool won =
-      !request->resolved.exchange(true, std::memory_order_acq_rel);
+      !request.resolved.exchange(true, std::memory_order_acq_rel);
+  // Overload contract: a success the caller's budget can no longer use
+  // is delivered as kTimeout (counted in "ui.completed_late"), never as a
+  // late Ok. The earlier gates make this rare — it fires only when the
+  // execution itself crossed the deadline.
+  if (won && outcome.ok() && context.expired()) {
+    counters_.completed_late.add();
+    outcome = Timeout(context.tag() + " completed after its deadline");
+  }
+  if (won && !outcome.ok()) counters_.failed.add();
   // Close-through: the root span pops any child spans a timed-out chain
   // left open, keeping the trace a single well-formed tree.
-  request->context->close_span(request->root_span);
-  {
+  context.close_span(request.root_span);
+  if (request.owned_context != nullptr) {
     std::lock_guard lock(last_async_mutex_);
-    last_async_context_ = request->context;
+    last_async_context_ = request.owned_context;
   }
   if (won) {
-    if (request->watchdog != 0) loop_->cancel(request->watchdog);
-    invoke_callback(request->callback, std::move(outcome));
+    if (request.watchdog != 0) loop_->cancel(request.watchdog);
+    invoke_callback(request.callback, std::move(outcome));
   }
-  request->inflight.reset();
-}
-
-void Platform::submit_continuation(
-    std::size_t stage, const std::shared_ptr<StagedRequest>& request,
-    runtime::Continuation fn) {
-  runtime::StagePipeline::SubmitOptions options;
-  options.lane = request->context->high_priority() ? runtime::TaskLane::kHigh
-                                                   : runtime::TaskLane::kNormal;
-  options.continuation = true;  // admitted work is never refused mid-chain
-  Status submitted = stages_->submit(stage, std::move(fn), options);
-  if (!submitted.ok()) {
-    // Only reachable when the executor is shutting down (destructor
-    // teardown); the request can never complete, so close it out.
-    log_warn("platform") << request->context->tag()
-                         << " continuation dropped: " << submitted.to_string();
-    finish_staged(request, Unavailable("staged pipeline shut down mid-request"));
-  }
-}
-
-void Platform::stage_synthesis(std::shared_ptr<StagedRequest> request) {
-  request->context->close_span(request->queue_span);
-  if (staged_abandoned(request)) return;
-  obs::ContextScope ambient(*request->context);
-  counters_.submitted.add();
-  if (Status gate = ui_gate(*request->context); !gate.ok()) {
-    finish_staged(request, std::move(gate));
-    return;
-  }
-  Result<model::Model> parsed = model::parse_model(request->text, dsml_);
-  if (!parsed.ok()) {
-    finish_staged(request, parsed.status());
-    return;
-  }
-  // Commit only — the serial synthesis window releases before controller
-  // execution is even scheduled (the commit itself never parks).
-  request->executed = true;
-  Result<controller::ControlScript> script =
-      synthesis_->commit_model(std::move(parsed.value()), *request->context);
-  if (!script.ok()) {
-    finish_staged(request, script.status());
-    return;
-  }
-  request->script = std::move(script.value());
-  if (request->script.empty()) {
-    // Nothing to execute (model unchanged): skip straight to completion.
-    submit_continuation(stage_complete_, request, [this, request] {
-      stage_complete(request, Status::Ok());
-    });
-    return;
-  }
-  submit_continuation(stage_controller_, request,
-                      [this, request] { stage_controller(request); });
-}
-
-void Platform::stage_controller(std::shared_ptr<StagedRequest> request) {
-  if (staged_abandoned(request)) return;
-  obs::ContextScope ambient(*request->context);
-  // The script chain may park in the broker (backoff, attempt overrun);
-  // its completion fires on whatever thread settles the last command and
-  // hops to the completion stage from there.
-  controller_->execute_script_async(
-      request->script, *request->context, [this, request](Status executed) {
-        submit_continuation(stage_complete_, request,
-                            [this, request, executed] {
-                              stage_complete(request, executed);
-                            });
-      });
-}
-
-void Platform::stage_complete(std::shared_ptr<StagedRequest> request,
-                              Status executed) {
-  if (staged_abandoned(request)) return;
-  obs::ContextScope ambient(*request->context);
-  if (!executed.ok()) {
-    finish_staged(request, std::move(executed));
-    return;
-  }
-  if (Status late = reject_late_success(*request->context); !late.ok()) {
-    finish_staged(request, std::move(late));
-    return;
-  }
-  finish_staged(request, std::move(request->script));
+  request.inflight.reset();
 }
 
 void Platform::invoke_callback(const SubmitCallback& callback,
@@ -815,12 +764,6 @@ std::vector<runtime::StagePipeline::StageStats> Platform::stage_stats()
   std::lock_guard lock(pipeline_mutex_);
   if (stages_ == nullptr) return {};
   return stages_->stats();
-}
-
-Result<controller::ControlScript> Platform::submit_model(
-    model::Model application_model) {
-  last_context_ = std::make_unique<obs::RequestContext>(*clock_, &metrics_);
-  return submit_model(std::move(application_model), *last_context_);
 }
 
 std::string Platform::runtime_model_text() const {

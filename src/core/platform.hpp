@@ -22,6 +22,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "broker/broker_layer.hpp"
@@ -168,23 +169,29 @@ class Platform {
       model::Model application_model, obs::RequestContext& context);
   Result<controller::ControlScript> submit_model(model::Model application_model);
 
-  /// Completion callback for submit_async(); invoked on a pipeline
-  /// worker thread. A throwing callback is contained there (counted in
-  /// "ui.callback_failures" and logged), never propagated into the
-  /// worker.
+  /// Completion callback for submit_async(). It runs on the thread that
+  /// settled the request's last leaf: an executor worker, or the event
+  /// loop's thread when a parked broker call completed there. It must not
+  /// block; a resubmission from it goes through submit_async() like any
+  /// other. A throwing callback is contained there (counted in
+  /// "ui.callback_failures" and logged), never propagated.
   using SubmitCallback =
       std::function<void(Result<controller::ControlScript>)>;
 
-  /// Fire-and-forget submission through the N-way request pipeline
-  /// (PlatformConfig.pipeline_threads workers, created lazily; queue
-  /// bound and overflow policy come from the middleware model's
-  /// queue_capacity / overflow_policy attributes). The text is parsed
-  /// and executed on a worker; `callback` (optional) receives the
-  /// outcome there. Returns non-Ok — and does NOT invoke the callback —
-  /// when the submission is refused at the door: platform not running,
-  /// shed by admission control (deadline spent or predicted doomed), or
-  /// rejected by a full bounded queue under the kReject policy. Once Ok
-  /// is returned the callback is invoked exactly once, including for
+  /// Fire-and-forget submission. It runs the same request driver as the
+  /// sync entries (UI gate → parse → synthesis → controller → broker →
+  /// late-success gate) from one entry task on the `synthesis` stage of
+  /// the executor (PlatformConfig.pipeline_threads workers, created
+  /// lazily; queue bound and overflow policy come from the middleware
+  /// model's queue_capacity / overflow_policy attributes). From there the
+  /// chain runs to completion on whichever thread settles each leaf; it
+  /// goes back to the executor only when a parked broker call resumes
+  /// (the `broker` stage). `callback` (optional) receives the outcome.
+  /// Returns non-Ok — and does NOT invoke the callback — when the
+  /// submission is refused at the door: platform not running, shed by
+  /// admission control (deadline spent or predicted doomed), or rejected
+  /// by a full bounded queue under the kReject policy. Once Ok is
+  /// returned the callback is invoked exactly once, including for
   /// requests later dropped by kShedOldest (they resolve with
   /// kUnavailable). stop() drains all queued async submissions.
   Status submit_async(std::string text, SubmitCallback callback = nullptr,
@@ -254,18 +261,18 @@ class Platform {
   struct PipelineStats {
     std::size_t queue_capacity = 0;  ///< configured bound (0 = unbounded)
     std::size_t max_pending = 0;     ///< deepest the queue ever got
-    /// Deepest the *bounded* entry backlog ever got — continuation hops
-    /// excluded. This is the gauge queue_capacity governs; on the staged
-    /// pipeline max_pending also counts mid-request hops and may
-    /// legitimately exceed the capacity.
+    /// Deepest the *bounded* entry backlog ever got — resumes of parked
+    /// requests excluded. This is the gauge queue_capacity governs;
+    /// max_pending also counts those resumes and may legitimately exceed
+    /// the capacity.
     std::size_t max_bounded_pending = 0;
     std::uint64_t rejections = 0;    ///< submits refused (kReject/shutdown)
     std::uint64_t shed = 0;          ///< queued tasks dropped (kShedOldest)
   };
   [[nodiscard]] PipelineStats pipeline_stats() const;
   /// Per-stage queue depth / delay statistics of the staged pipeline
-  /// (empty before the first async submission). Stage order: synthesis,
-  /// controller, broker, complete.
+  /// (empty before the first async submission). Stage order: synthesis
+  /// (the entry task), broker (resumes after a park).
   [[nodiscard]] std::vector<runtime::StagePipeline::StageStats> stage_stats()
       const;
   /// The staged pipeline's event loop (timers for retry backoff, attempt
@@ -316,41 +323,39 @@ class Platform {
                               const model::ModelObject& controller_spec);
   /// Invoke a SubmitCallback with exception containment: a throw is
   /// counted ("ui.callback_failures") and logged, never propagated into
-  /// the pipeline worker.
+  /// the thread that settled the request.
   void invoke_callback(const SubmitCallback& callback,
                        Result<controller::ControlScript> outcome);
 
-  /// One request traversing the staged pipeline (heap state; the request
-  /// owns its context, root span, deadline watchdog and inflight slot).
-  struct StagedRequest;
+  /// One request on its way through the driver: its context, root span,
+  /// deadline watchdog and inflight slot.
+  struct Request;
+  /// What a request submits: DSML text the driver parses, or a built
+  /// model.
+  using Submission = std::variant<std::string_view, model::Model>;
   /// Lazily create the executor, the stage pipeline, the event loop and
   /// the broker's async engine wiring.
   void ensure_pipeline();
+  /// The sync entries: open the root span, run the driver in blocking
+  /// mode and return the outcome it settled with.
+  Result<controller::ControlScript> submit_inline(Submission submission,
+                                                  obs::RequestContext& context,
+                                                  std::string_view detail);
   /// The UI-layer gate every submission passes before synthesis: the
   /// platform is running, admission control admits the request, and its
   /// deadline is not spent.
   Status ui_gate(obs::RequestContext& context);
-  /// kTimeout (counted in "ui.completed_late") when a request that
-  /// succeeded has outlived its deadline; Ok otherwise.
-  Status reject_late_success(obs::RequestContext& context);
-  /// Stage bodies. Each runs as a continuation on a pipeline worker.
-  void stage_synthesis(std::shared_ptr<StagedRequest> request);
-  void stage_controller(std::shared_ptr<StagedRequest> request);
-  void stage_complete(std::shared_ptr<StagedRequest> request,
-                      Status executed);
-  /// Mid-pipeline hop: submit `fn` to `stage` as a never-shed
-  /// continuation.
-  void submit_continuation(std::size_t stage,
-                           const std::shared_ptr<StagedRequest>& request,
-                           runtime::Continuation fn);
-  /// True when the deadline watchdog already resolved the request; the
-  /// chain (single owner of the trace) closes out and releases its
-  /// inflight slot here.
-  bool staged_abandoned(const std::shared_ptr<StagedRequest>& request);
-  /// Terminal stage bookkeeping: record latency, close the root span,
-  /// resolve the callback exactly once, release the inflight slot.
-  void finish_staged(const std::shared_ptr<StagedRequest>& request,
-                     Result<controller::ControlScript> outcome);
+  /// The one request driver: UI gate → parse → synthesis submit (which
+  /// runs the controller/broker chain) → finish. A null `owner` selects
+  /// blocking mode: the sync caller's frame holds `request` and every
+  /// leaf settles inline. Otherwise the chain runs on whichever thread
+  /// settles each leaf and holds `owner` until it settles.
+  void drive(Request& request, Submission submission,
+             std::shared_ptr<Request> owner);
+  /// Terminal bookkeeping: turn a success past the deadline into kTimeout,
+  /// feed the admission EWMA, close the root span, resolve the callback
+  /// unless the deadline watchdog already did, release the inflight slot.
+  void finish(Request& request, Result<controller::ControlScript> outcome);
 
   std::string name_;
   model::MetamodelPtr dsml_;
@@ -418,9 +423,7 @@ class Platform {
   std::unique_ptr<runtime::StagePipeline> stages_;
   std::unique_ptr<runtime::EventLoop> loop_;
   std::size_t stage_synthesis_ = 0;
-  std::size_t stage_controller_ = 0;
   std::size_t stage_broker_ = 0;
-  std::size_t stage_complete_ = 0;
   bool manual_loop_ = false;
   unsigned pipeline_threads_ = 0;
   /// Queue bound + overflow policy decoded from the middleware model's

@@ -8,8 +8,8 @@ namespace {
 
 /// Set while a worker of a given executor runs tasks: lets submit()
 /// recognize self-submission and bypass the capacity bound (a worker
-/// blocked — or rejected — on its own executor's full queue could never
-/// make progress again).
+/// rejected on its own executor's full queue would strand the task it
+/// is continuing).
 thread_local const Executor* g_worker_of = nullptr;
 
 const Clock& process_clock() noexcept {
@@ -44,7 +44,6 @@ void Executor::shutdown() {
     }
   }
   wake_.notify_all();
-  space_.notify_all();  // blocked submitters resolve to rejection
   if (join_here) {
     for (auto& worker : workers_) worker.join();
   }
@@ -65,7 +64,7 @@ Status Executor::submit(Task task) {
   queued.on_shed = std::move(task.on_shed);
   std::function<void()> shed_victim;
   {
-    std::unique_lock lock(mutex_);
+    std::lock_guard lock(mutex_);
     if (shutting_down_) return reject("shutdown in progress");
     // The capacity bound governs the entry backlog only: continuation
     // hops carry already-admitted requests, so they neither count toward
@@ -76,19 +75,6 @@ Status Executor::submit(Task task) {
       switch (config_.overflow_policy) {
         case OverflowPolicy::kReject:
           return reject("queue at capacity");
-        case OverflowPolicy::kBlock: {
-          ++blocked_submitters_;
-          space_.wait(lock, [this] {
-            return shutting_down_ ||
-                   bounded_pending_ < config_.queue_capacity;
-          });
-          --blocked_submitters_;
-          if (shutting_down_) {
-            if (blocked_submitters_ == 0) idle_.notify_all();
-            return reject("shutdown in progress");
-          }
-          break;
-        }
         case OverflowPolicy::kShedOldest: {
           // Prefer shedding bulk work; only eat into the high lane when
           // no normal-lane entry is queued. Continuations are never
@@ -147,10 +133,8 @@ Status Executor::submit(Task task) {
 
 void Executor::drain() {
   std::unique_lock lock(mutex_);
-  idle_.wait(lock, [this] {
-    return queued_unlocked() == 0 && active_ == 0 &&
-           blocked_submitters_ == 0;
-  });
+  idle_.wait(lock,
+             [this] { return queued_unlocked() == 0 && active_ == 0; });
 }
 
 std::size_t Executor::pending() const {
@@ -170,8 +154,7 @@ void Executor::worker_loop() {
     ~ActiveGuard() {
       std::lock_guard lock(owner_.mutex_);
       --owner_.active_;
-      if (owner_.queued_unlocked() == 0 && owner_.active_ == 0 &&
-          owner_.blocked_submitters_ == 0) {
+      if (owner_.queued_unlocked() == 0 && owner_.active_ == 0) {
         owner_.idle_.notify_all();
       }
     }
@@ -195,7 +178,6 @@ void Executor::worker_loop() {
       ++active_;
       metrics_->queue_delay.record(clock_->now() - next.enqueued_at);
       task = std::move(next.run);
-      space_.notify_one();
     }
     ActiveGuard guard(*this);
     try {

@@ -6,8 +6,10 @@
 //
 // Overload protection (PR 5): the queue may be bounded
 // (ExecutorConfig::queue_capacity) with a pluggable overflow policy —
-// kReject (fail the submit), kBlock (wait for space), kShedOldest (drop
-// the oldest queued task to admit the newest). Two priority lanes
+// kReject (fail the submit) or kShedOldest (drop the oldest queued task
+// to admit the newest). Neither ever blocks the submitter: a submit may
+// come from an event-loop callback, whose thread must keep firing the
+// timers that free the queue. Two priority lanes
 // (kHigh drains before kNormal) let control-plane traffic overtake bulk
 // work. Every queued task is stamped at enqueue; the dequeue records the
 // queue delay in the "runtime.queue_delay_us" histogram so admission
@@ -31,7 +33,6 @@ namespace mdsm::runtime {
 /// What a bounded executor does with a submit that finds the queue full.
 enum class OverflowPolicy {
   kReject,     ///< fail the submit with kUnavailable
-  kBlock,      ///< block the submitter until space frees up
   kShedOldest  ///< drop the oldest queued task (its on_shed runs), admit
 };
 
@@ -76,8 +77,8 @@ class Executor {
   /// begun (a task enqueued after shutdown would never run; refusing is
   /// the only honest answer). Refusals count into rejections() and the
   /// "runtime.executor_rejections" metric. Tasks submitted from a worker
-  /// thread of this executor bypass the capacity bound: blocking or
-  /// rejecting a worker's own continuation could deadlock a full queue.
+  /// thread of this executor bypass the capacity bound: rejecting a
+  /// worker's own continuation could strand it behind a full queue.
   ///
   /// A task that throws does not kill the worker or the process: the
   /// exception is caught, counted in task_failures() (the
@@ -86,8 +87,7 @@ class Executor {
   Status submit(std::function<void()> task);
   Status submit(Task task);
 
-  /// Block until the queue is empty, no submitter is blocked waiting for
-  /// space, and every worker is idle.
+  /// Block until the queue is empty and every worker is idle.
   void drain();
 
   /// Begin shutdown and join all workers. Queued tasks still run;
@@ -156,11 +156,9 @@ class Executor {
   mutable std::mutex mutex_;
   std::condition_variable wake_;
   std::condition_variable idle_;
-  std::condition_variable space_;  ///< kBlock submitters wait here
-  std::deque<Queued> queues_[2];   ///< indexed by TaskLane
+  std::deque<Queued> queues_[2];  ///< indexed by TaskLane
   std::vector<std::thread> workers_;
   unsigned active_ = 0;
-  unsigned blocked_submitters_ = 0;
   std::size_t bounded_pending_ = 0;  ///< queued non-continuation tasks
   bool shutting_down_ = false;
   bool joined_ = false;

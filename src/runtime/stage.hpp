@@ -1,8 +1,9 @@
 // Stage/Continuation layer of the event-driven core (PR 6). A request
 // traversing the four layers is no longer a thread parked end-to-end:
-// it is a small state object hopping between named stages, where each
-// hop enqueues a one-shot Continuation on the shared Executor and
-// releases the current worker.
+// it is a small state object that enters on one named stage and, when it
+// parks, resumes on another. Each submit enqueues a one-shot Continuation
+// on the shared Executor; between them the request runs inline on
+// whichever thread settled its last step.
 //
 // Stages are *logical* queues over one physical worker pool: every
 // stage keeps its own depth gauge, high-water mark and enqueue→dequeue

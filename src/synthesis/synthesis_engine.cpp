@@ -5,6 +5,29 @@
 
 namespace mdsm::synthesis {
 
+namespace {
+
+/// A committed script on its way through the executor hook. The hook
+/// settles it once: that closes the request's "synthesis.submit" span
+/// and delivers the script, or the execution failure.
+struct Execution {
+  controller::ControlScript script;
+  SynthesisEngine::SubmitCallback done;
+  obs::RequestContext* context;
+  std::uint64_t span;
+
+  void settle(Status executed) {
+    context->close_span(span);
+    if (!executed.ok()) {
+      done(std::move(executed));
+      return;
+    }
+    done(std::move(script));
+  }
+};
+
+}  // namespace
+
 SynthesisEngine::SynthesisEngine(std::string name, model::MetamodelPtr dsml,
                                  Lts lts, const policy::ContextStore& context,
                                  Dispatch dispatch)
@@ -17,20 +40,44 @@ SynthesisEngine::SynthesisEngine(std::string name, model::MetamodelPtr dsml,
 
 Result<controller::ControlScript> SynthesisEngine::submit_model(
     model::Model new_model, obs::RequestContext& context) {
+  return settle_inline<Result<controller::ControlScript>>(
+      [&](SubmitCallback done) {
+        submit(std::move(new_model), context, /*blocking=*/true,
+               std::move(done));
+      });
+}
+
+void SynthesisEngine::submit(model::Model new_model,
+                             obs::RequestContext& context, bool blocking,
+                             SubmitCallback done) {
   obs::ContextScope ambient(context);
-  obs::ScopedSpan span(context, "synthesis.submit", new_model.name());
+  const std::uint64_t span =
+      context.open_span("synthesis.submit", new_model.name());
   Result<controller::ControlScript> script =
       commit_core(std::move(new_model), context);
-  if (!script.ok()) return script;
+  if (!script.ok() || executor_ == nullptr || script->empty()) {
+    context.close_span(span);
+    done(std::move(script));
+    return;
+  }
   // Post-commit execution — outside the serial mutex, still inside this
   // request's "synthesis.submit" span. Independent submissions overlap
   // here. An execution failure surfaces to the submitter but does not
-  // roll back the committed model.
-  if (executor_ != nullptr && !script->empty()) {
-    Status executed = executor_(*script, context);
-    if (!executed.ok()) return executed;
+  // roll back the committed model. A blocking hook settles before it
+  // returns, so the execution can stay in this frame; a parked one
+  // outlives it and moves to the heap.
+  Execution execution{std::move(script.value()), std::move(done), &context,
+                      span};
+  if (blocking) {
+    executor_(execution.script, context, /*blocking=*/true,
+              [&execution](Status executed) {
+                execution.settle(std::move(executed));
+              });
+    return;
   }
-  return script;
+  auto parked = std::make_shared<Execution>(std::move(execution));
+  executor_(parked->script, context, /*blocking=*/false,
+            [parked](Status executed) { parked->settle(std::move(executed)); });
 }
 
 Result<controller::ControlScript> SynthesisEngine::commit_model(

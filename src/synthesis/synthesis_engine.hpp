@@ -12,7 +12,9 @@
 // mutex. Everything after the commit (the executor hook, i.e. actual
 // controller/broker execution) runs *outside* that mutex, which is what
 // lets independent requests overlap: the serial window is only the model
-// swap, not the work. The committed model is published once per commit
+// swap, not the work. One resumable submit drives every request: the
+// sync submit_model settles it inline, and a parking caller lets the
+// executor hook park. The committed model is published once per commit
 // as an immutable snapshot (model::ModelPtr); readers share it, and it is
 // serialized and freed outside the mutex.
 #pragma once
@@ -57,36 +59,53 @@ class SynthesisEngine final : public runtime::Component {
     listener_ = std::move(listener);
   }
 
-  /// Post-commit execution hook: runs *after* the runtime model commits
+  /// Completion of a submission: the committed script, or why the
+  /// request failed.
+  using SubmitCallback =
+      std::function<void(Result<controller::ControlScript>)>;
+  /// Post-commit execution hook in continuation-passing form: run the
+  /// committed `script` and settle `done` exactly once. In blocking mode
+  /// it settles before returning; otherwise it may park and settle later
+  /// on whichever thread finishes the script. `script` stays valid until
+  /// `done` fires. The platform wires ControllerLayer::execute_script
+  /// (blocking) and execute_script_async here.
+  using ExecuteHook =
+      std::function<void(const controller::ControlScript& script,
+                         obs::RequestContext& context, bool blocking,
+                         std::function<void(Status)> done)>;
+  /// Install the executor hook: it runs *after* the runtime model commits
   /// and after the serial mutex is released, still inside the request's
   /// "synthesis.submit" span. This is the parallel phase of the request
-  /// pipeline — the platform wires ControllerLayer::execute_script here.
-  /// Its failure surfaces to the submitter but does not roll the model
-  /// back (the model swap already happened; execution is best-effort
-  /// forward progress, with errors also contained per-command below).
-  void set_executor(Dispatch executor) { executor_ = std::move(executor); }
+  /// pipeline. Its failure surfaces to the submitter but does not roll
+  /// the model back (the model swap already happened; execution is
+  /// best-effort forward progress, with errors also contained
+  /// per-command below).
+  void set_executor(ExecuteHook executor) { executor_ = std::move(executor); }
 
-  /// Full synthesis cycle: validate the new model, compare against the
-  /// current runtime model, interpret the changes, dispatch the script,
-  /// commit the new model as the running one, then execute via the
-  /// executor hook. On any pre-commit failure the previous runtime model
-  /// stays in force. Opens the request's "synthesis.submit" span.
-  /// Safe to call concurrently (submissions serialize on the internal
-  /// mutex up to the commit; execution overlaps).
+  /// Full synthesis cycle, the one resumable submit: validate the new
+  /// model, compare against the current runtime model, interpret the
+  /// changes, dispatch the script, commit the new model as the running
+  /// one, then execute via the executor hook in `blocking` mode. `done`
+  /// fires exactly once, with the script or the failure: before return
+  /// when blocking, otherwise on the thread that settles the script. On
+  /// any pre-commit failure the previous runtime model stays in force.
+  /// Opens the request's "synthesis.submit" span, which closes when the
+  /// executor hook settles. Safe to call concurrently (submissions
+  /// serialize on the internal mutex up to the commit; execution
+  /// overlaps).
+  void submit(model::Model new_model, obs::RequestContext& context,
+              bool blocking, SubmitCallback done);
+  /// The sync entry: submit() settled inline.
   Result<controller::ControlScript> submit_model(model::Model new_model,
                                                  obs::RequestContext& context);
   Result<controller::ControlScript> submit_model(model::Model new_model) {
     return submit_model(std::move(new_model), obs::RequestContext::noop());
   }
 
-  /// The commit phase alone (PR 6 staged pipeline): validate, diff,
-  /// interpret, dispatch and commit under the serial mutex, but do NOT
-  /// run the post-commit executor hook — the staged platform calls this
-  /// from its synthesis stage and hands the returned script to the
-  /// controller stage as a separate continuation, so the serial window
-  /// releases before execution is even scheduled. Opens its own
-  /// "synthesis.submit" span (closed on return: the commit itself never
-  /// parks).
+  /// The commit phase alone: validate, diff, interpret, dispatch and
+  /// commit under the serial mutex, without the executor hook. The
+  /// per-layer benchmark times commit and execution apart through it.
+  /// Opens its own "synthesis.submit" span, closed on return.
   Result<controller::ControlScript> commit_model(model::Model new_model,
                                                  obs::RequestContext& context);
 
@@ -145,7 +164,7 @@ class SynthesisEngine final : public runtime::Component {
 
  private:
   /// Shared pre-check + serial diff→interpret→dispatch→commit section of
-  /// submit_model()/commit_model() (everything except the executor hook).
+  /// submit()/commit_model() (everything except the executor hook).
   Result<controller::ControlScript> commit_core(model::Model new_model,
                                                 obs::RequestContext& context);
   /// Swap `next` in as the committed snapshot and fire the listener;
@@ -167,7 +186,7 @@ class SynthesisEngine final : public runtime::Component {
   };
   obs::MetricHandles<Counters> metrics_;
   Dispatch dispatch_;
-  Dispatch executor_;
+  ExecuteHook executor_;
   ModelListener listener_;
   /// Serializes diff → interpret → dispatch → commit → listener. Also
   /// guards the runtime_model_ pointer and the interpreter's LTS state.

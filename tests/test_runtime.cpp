@@ -355,34 +355,6 @@ TEST(Executor, ShedOldestDropsOldestAndKeepsNewest) {
   EXPECT_EQ(metrics.snapshot().counter_value("runtime.executor_shed"), 1u);
 }
 
-// kBlock applies backpressure: the submitter waits for space instead of
-// failing, and nothing is lost.
-TEST(Executor, BlockPolicyWaitsForSpaceInsteadOfFailing) {
-  Executor executor(ExecutorConfig{.thread_count = 1,
-                                   .queue_capacity = 1,
-                                   .overflow_policy = OverflowPolicy::kBlock});
-  std::atomic<bool> gate{false};
-  std::atomic<int> ran{0};
-  executor.submit([&gate] {
-    while (!gate.load()) std::this_thread::yield();
-  });
-  while (executor.pending() != 0) std::this_thread::yield();
-  EXPECT_TRUE(executor.submit([&ran] { ++ran; }).ok());  // fills the queue
-  std::atomic<bool> accepted{false};
-  std::thread submitter([&] {
-    EXPECT_TRUE(executor.submit([&ran] { ++ran; }).ok());
-    accepted = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(accepted.load());  // still waiting — not rejected, not lost
-  gate = true;
-  submitter.join();
-  EXPECT_TRUE(accepted.load());
-  executor.drain();
-  EXPECT_EQ(ran.load(), 2);
-  EXPECT_EQ(executor.rejections(), 0u);
-}
-
 // The high lane drains before any queued normal work, regardless of
 // arrival order.
 TEST(Executor, HighLaneOvertakesQueuedNormalWork) {

@@ -1,8 +1,8 @@
 // The event-driven staged pipeline (PR 6): cross-thread span parentage,
-// deadline expiry while a request is parked between stages, N concurrent
-// retrying requests progressing on fewer than N executor threads, and
-// parity between the sync and staged entry points, which run the same
-// per-layer run loops.
+// deadline expiry while a request is parked, N concurrent retrying
+// requests progressing on fewer than N executor threads, and parity
+// between the sync and staged entry points, which run the same request
+// driver and the same per-layer run loops.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "broker/invocation_policy.hpp"
@@ -291,7 +292,9 @@ TEST(Staged, ConcurrentRetriesProgressOnOneWorkerThread) {
 }
 
 // Per-stage queue visibility: the staged pipeline reports depth/entered
-// counters for each of its four stages.
+// counters for its two stages, the entry (`synthesis`) and the resume
+// after a park (`broker`). A request that never parks runs to completion
+// on its entry task: it costs exactly one executor task.
 TEST(Staged, StageStatsExposePerStageCounters) {
   PlatformConfig config;
   config.pipeline_threads = 2;
@@ -313,17 +316,21 @@ TEST(Staged, StageStatsExposePerStageCounters) {
   while (done.load() != 3) std::this_thread::yield();
   EXPECT_TRUE(platform.stop().ok());
   const auto stats = platform.stage_stats();
-  ASSERT_EQ(stats.size(), 4u);
+  ASSERT_EQ(stats.size(), 2u);
   EXPECT_EQ(stats[0].name, "synthesis");
-  EXPECT_EQ(stats[1].name, "controller");
-  EXPECT_EQ(stats[2].name, "broker");
-  EXPECT_EQ(stats[3].name, "complete");
+  EXPECT_EQ(stats[1].name, "broker");
   EXPECT_EQ(stats[0].entered, 3u);
-  EXPECT_EQ(stats[3].entered, 3u);
-  // Per-stage delay histograms landed in the registry.
+  EXPECT_EQ(stats[1].entered, 0u);  // inline adapter: nothing parked
+  // Per-stage delay histograms landed in the registry, and the executor
+  // dequeued one task per request.
   const auto snapshot = platform.metrics().snapshot();
-  EXPECT_NE(snapshot.histogram("stage.synthesis.delay_us"), nullptr);
-  EXPECT_NE(snapshot.histogram("stage.complete.delay_us"), nullptr);
+  const auto* entry_delay = snapshot.histogram("stage.synthesis.delay_us");
+  ASSERT_NE(entry_delay, nullptr);
+  EXPECT_EQ(entry_delay->count, 3u);
+  EXPECT_NE(snapshot.histogram("stage.broker.delay_us"), nullptr);
+  const auto* queue_delay = snapshot.histogram("runtime.queue_delay_us");
+  ASSERT_NE(queue_delay, nullptr);
+  EXPECT_EQ(queue_delay->count, 3u);
 }
 
 /// Fails the invocations whose 1-based sequence numbers are listed, and
@@ -465,11 +472,56 @@ TEST(Staged, SyncAndStagedEntriesLeaveTheSameFootprint) {
   EXPECT_EQ(staged_footprint.commands, sync_footprint.commands);
   EXPECT_EQ(staged_footprint.counters, sync_footprint.counters);
   EXPECT_EQ(staged_footprint.spans, sync_footprint.spans);
+  // Both traces have the sync tree shape: the controller runs inside the
+  // synthesis submit, which runs inside the UI submission.
+  const obs::Trace& sync_trace = sync_context.trace();
+  for (const obs::Trace* trace : {&sync_trace, &staged_context->trace()}) {
+    const obs::Span* ui = trace->find("ui.submit");
+    const obs::Span* synthesis = trace->find("synthesis.submit");
+    const obs::Span* script = trace->find("controller.script");
+    ASSERT_TRUE(ui && synthesis && script);
+    EXPECT_EQ(synthesis->parent, ui->id);
+    EXPECT_EQ(script->parent, synthesis->id);
+    EXPECT_LE(script->end, synthesis->end);
+  }
   // The schedule really drove the policy paths on both entries.
   EXPECT_EQ(sync_footprint.counters.at("broker.retries"), 2u);
   EXPECT_EQ(sync_footprint.counters.at("broker.fallbacks"), 1u);
   EXPECT_EQ(sync_footprint.spans.count("broker.fallback"), 1u);
   set_log_level(LogLevel::kWarn);
+}
+
+// Both entries run one driver, so a text that fails to parse counts the
+// same way through either: once submitted, once failed.
+TEST(Staged, MalformedTextCountsOnceOnBothEntries) {
+  PlatformConfig config;
+  config.pipeline_threads = 1;
+  auto fixture = make_staged_platform(
+      config, std::make_unique<FlakyAdapter>("svc", 0));
+  ASSERT_NE(fixture.platform, nullptr);
+  Platform& platform = *fixture.platform;
+  const auto counts = [&platform] {
+    const auto snapshot = platform.metrics().snapshot();
+    return std::pair(snapshot.counter_value("requests.submitted"),
+                     snapshot.counter_value("requests.failed"));
+  };
+
+  EXPECT_EQ(platform.submit_model_text("not a model {").status().code(),
+            ErrorCode::kParseError);
+  EXPECT_EQ(counts(), std::pair(std::uint64_t{1}, std::uint64_t{1}));
+
+  std::atomic<int> refused{0};
+  ASSERT_TRUE(platform
+                  .submit_async("not a model {",
+                                [&refused](Result<controller::ControlScript> r) {
+                                  EXPECT_EQ(r.status().code(),
+                                            ErrorCode::kParseError);
+                                  ++refused;
+                                })
+                  .ok());
+  while (refused.load() != 1) std::this_thread::yield();
+  EXPECT_TRUE(platform.stop().ok());
+  EXPECT_EQ(counts(), std::pair(std::uint64_t{2}, std::uint64_t{2}));
 }
 
 // PR 10 bugfix regression: only EXECUTED requests feed the admission
